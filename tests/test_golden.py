@@ -1,0 +1,62 @@
+"""Byte-identity guard: CLI stdout and exit codes against recorded goldens.
+
+Each case runs `cli.main` in-process and compares its stdout bytes and exit
+code with `tests/golden/<name>.out` and `tests/golden/exit_codes.json`.  The
+goldens were recorded from a known-good commit; a refactor must leave every
+one of them unchanged.  To re-record after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from charblocks import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+
+_SWEEP = ("--e", "2..5", "--max-n", "8", "--format", "json", "--no-meta")
+_BLOCK = ("--e", "4", "--core", "2,1", "--weight", "1", "--format", "json")
+
+CASES = {
+    "verify-theorem1": ("verify", "theorem1", *_SWEEP),
+    "verify-dichotomy": ("verify", "dichotomy", *_SWEEP),
+    "verify-remark1": ("verify", "remark1", *_SWEEP),
+    "verify-rowstructure": ("verify", "rowstructure", *_SWEEP),
+    "verify-theorem1-plain": ("verify", "theorem1", "--format", "plain"),
+    "block": ("block", *_BLOCK),
+    "count": ("count", *_BLOCK, "--class", "2^3,1"),
+    "extremal": ("extremal", "--e", "2", "--core", "-", "--weight", "2",
+                 "--format", "json"),
+}
+
+
+def run_cli(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return buf.getvalue().encode(), code
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name):
+    out, code = run_cli(CASES[name])
+    assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
+def record() -> None:
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        out, codes[name] = run_cli(argv)
+        (GOLDEN_DIR / f"{name}.out").write_bytes(out)
+    EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record()
