@@ -34,8 +34,11 @@ from .blocks import (
     block_partitions_via_hooks,
     blocks_of,
     c_mu,
+    core_groups,
+    count_matrix,
     extremal_lambda,
     min_c_over_regular,
+    min_nonzero,
     opposite_sign_partner,
 )
 from .sweeps import (

@@ -55,15 +55,24 @@ class CountReport:
     witnesses: list = field(default_factory=list)
 
 
+def core_groups(e: int, n: int) -> dict:
+    """Partitions of n grouped by e-core: {core: members}, each member list in
+    partitions_of order.  One e_core call per partition."""
+    groups = {}
+    for nu in partitions_of(n):
+        groups.setdefault(e_core(nu, e), []).append(nu)
+    return groups
+
+
 def block_partitions(b: BlockId):
     """All partitions of b.n with the block's e-core, in enumeration order."""
-    return [nu for nu in partitions_of(b.n) if e_core(nu, b.e) == b.core]
+    return core_groups(b.e, b.n)[b.core]
 
 
 def block_partitions_via_hooks(b: BlockId):
     """Same set generated by repeatedly adding e-hooks to the core.
 
-    Independent of the filter route above; kept as a cross-check.
+    Independent of the e-core grouping above; kept as a cross-check.
     """
     current = {b.core}
     for _ in range(b.weight):
@@ -79,6 +88,35 @@ def c_mu(b: BlockId, lam, engine: CharEngine | None = None) -> CountReport:
     eng = engine or shared_engine()
     witnesses = [nu for nu in block_partitions(b) if eng.char_value(nu, lam) != 0]
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
+
+
+def count_matrix(groups: dict, classes, engine: CharEngine | None = None) -> dict:
+    """Blocks x classes non-zero counts: {core: {class: count}} for the member
+    lists in groups (as from core_groups), classes kept in the given order.
+
+    Each (member, class) character value is evaluated once.
+    """
+    eng = engine or shared_engine()
+    return {
+        core: {lam: sum(1 for nu in members if eng.char_value(nu, lam) != 0)
+               for lam in classes}
+        for core, members in groups.items()
+    }
+
+
+def min_nonzero(counts: dict):
+    """(min, argmin, zeros) of a {class: count} row: the smallest non-zero
+    count with the first class attaining it (both None if every count is 0),
+    and the classes with count 0, all in the row's class order."""
+    best = None
+    argmin = None
+    zeros = []
+    for lam, c in counts.items():
+        if c == 0:
+            zeros.append(lam)
+        elif best is None or c < best:
+            best, argmin = c, lam
+    return best, argmin, zeros
 
 
 def extremal_lambda(b: BlockId):
@@ -97,7 +135,8 @@ def extremal_lambda(b: BlockId):
     else:
         hooks = diagonal_hooks(b.core)
         lam = (we + hooks[0],) + hooks[1:]
-    assert is_e_class_regular(lam, b.e)
+    if not is_e_class_regular(lam, b.e):
+        raise RuntimeError(f"extremal class {lam} of block {b} is not {b.e}-class-regular")
     return lam
 
 
@@ -110,19 +149,9 @@ def min_c_over_regular(b: BlockId, engine: CharEngine | None = None):
     """
     if b.e < 2:
         raise ValueError("regular classes need e >= 2")
-    eng = engine or shared_engine()
-    best = None
-    argmin = None
-    zeros = []
-    for lam in partitions_of(b.n):
-        if not is_e_class_regular(lam, b.e):
-            continue
-        c = c_mu(b, lam, eng).count
-        if c == 0:
-            zeros.append(lam)
-        elif best is None or c < best:
-            best, argmin = c, lam
-    return best, argmin, zeros
+    regular = [lam for lam in partitions_of(b.n) if is_e_class_regular(lam, b.e)]
+    counts = count_matrix({b.core: block_partitions(b)}, regular, engine)
+    return min_nonzero(counts[b.core])
 
 
 def opposite_sign_partner(psi, phi, b: BlockId, lam, engine: CharEngine | None = None):

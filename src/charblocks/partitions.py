@@ -208,7 +208,8 @@ def e_weight(p, e: int) -> int:
     """Number of e-hooks removed to reach the e-core."""
     core = e_core(p, e)
     diff = sum(p) - sum(core)
-    assert diff % e == 0
+    if diff % e != 0:
+        raise RuntimeError(f"|{p}| - |{core}| = {diff} is not divisible by e = {e}")
     return diff // e
 
 

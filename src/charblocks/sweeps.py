@@ -14,12 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .blocks import blocks_of, c_mu, extremal_lambda, min_c_over_regular
+from .blocks import blocks_of, core_groups, count_matrix, extremal_lambda, min_nonzero
 from .characters import chi_bar_value, shared_engine
 from .partitions import (
     diagonal_hooks,
     dominance_leq,
-    e_core,
     is_e_class_regular,
     partitions_of,
     remove_hook,
@@ -74,134 +73,81 @@ def _run_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
-def _block_key(row):
-    return (row["e"], row["n"], row["core"])
-
-
 # ---------------------------------------------------------------------------
-# Minimum count over regular classes equals weight + 1
+# Block sweeps: one block x class count matrix per (e, n) task.  theorem1 and
+# the dichotomy read it over the regular classes, remark1 over the others.
 
 
-def _theorem1_rows(task):
-    e, n = task
-    rows = []
-    for b in blocks_of(e, n):
-        target = b.weight + 1
-        best, argmin, zeros = min_c_over_regular(b)
-        ext = extremal_lambda(b)
-        ext_count = c_mu(b, ext).count
-        ok = (best is None or best == target) and ext_count == target
-        rows.append(
-            {
-                "e": e,
-                "n": n,
-                "core": render_partition(b.core),
-                "w": b.weight,
-                "min": best,
-                "argmin": render_partition(argmin) if argmin else None,
-                "zero_classes": len(zeros),
-                "extremal": render_partition(ext),
-                "extremal_count": ext_count,
-                "expected": target,
-                "ok": ok,
-            }
-        )
-    return rows
+def _block_rows(task):
+    format_row, regular, e, n = task
+    blocks = blocks_of(e, n)
+    classes = [lam for lam in partitions_of(n) if is_e_class_regular(lam, e) == regular]
+    counts = count_matrix(core_groups(e, n), classes)
+    return [
+        {"e": e, "n": n, "core": render_partition(b.core), "w": b.weight,
+         **format_row(b, counts[b.core])}
+        for b in blocks
+    ]
+
+
+def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
+                 **params) -> SweepReport:
+    e_values = sorted(set(e_values))
+    # Largest n first: a task costs about p(n), and rows are sorted afterwards.
+    tasks = [(format_row, regular, e, n) for n in range(n_max, 0, -1) for e in e_values]
+    rows = [r for chunk in _run_tasks(_block_rows, tasks, jobs) for r in chunk]
+    rows.sort(key=lambda r: (r["e"], r["n"], r["core"]))
+    report = SweepReport(params={"e": e_values, "n_max": n_max, **params}, rows=rows)
+    report.counterexamples = [r for r in rows if not r.get("ok", True)]
+    return _finish(report)
+
+
+def _theorem1_row(b, counts):
+    target = b.weight + 1
+    best, argmin, zeros = min_nonzero(counts)
+    ext = extremal_lambda(b)
+    ext_count = counts[ext]
+    return {
+        "min": best,
+        "argmin": render_partition(argmin) if argmin else None,
+        "zero_classes": len(zeros),
+        "extremal": render_partition(ext),
+        "extremal_count": ext_count,
+        "expected": target,
+        "ok": (best is None or best == target) and ext_count == target,
+    }
+
+
+def _small_counts(b, counts):
+    """Classes whose count lies strictly between 0 and weight+1."""
+    return [{"class": render_partition(lam), "count": c}
+            for lam, c in counts.items() if 0 < c < b.weight + 1]
+
+
+def _dichotomy_row(b, counts):
+    failures = _small_counts(b, counts)
+    return {"classes_checked": len(counts), "failures": failures, "ok": not failures}
+
+
+def _remark1_row(b, counts):
+    return {"classes_checked": len(counts), "violations": _small_counts(b, counts)}
 
 
 def verify_theorem1(e_values, n_max: int, jobs: int = 1) -> SweepReport:
     """Check, block by block, that the minimum non-zero count over regular
     classes is weight+1 and that the constructed class attains it."""
-    e_values = sorted(set(e_values))
-    tasks = [(e, n) for e in e_values for n in range(1, n_max + 1)]
-    rows = [r for chunk in _run_tasks(_theorem1_rows, tasks, jobs) for r in chunk]
-    rows.sort(key=_block_key)
-    report = SweepReport(params={"e": e_values, "n_max": n_max})
-    report.rows = rows
-    report.counterexamples = [r for r in rows if not r["ok"]]
-    return _finish(report)
-
-
-# ---------------------------------------------------------------------------
-# Dichotomy: count is 0 or at least weight + 1
-
-
-def _dichotomy_rows(task):
-    e, n = task
-    rows = []
-    regular = [lam for lam in partitions_of(n) if is_e_class_regular(lam, e)]
-    for b in blocks_of(e, n):
-        target = b.weight + 1
-        failures = []
-        for lam in regular:
-            c = c_mu(b, lam).count
-            if 0 < c < target:
-                failures.append({"class": render_partition(lam), "count": c})
-        rows.append(
-            {
-                "e": e,
-                "n": n,
-                "core": render_partition(b.core),
-                "w": b.weight,
-                "classes_checked": len(regular),
-                "failures": failures,
-                "ok": not failures,
-            }
-        )
-    return rows
+    return _block_sweep(_theorem1_row, True, e_values, n_max, jobs)
 
 
 def verify_dichotomy(e_values, n_max: int, jobs: int = 1) -> SweepReport:
     """Check that every regular class has count 0 or at least weight+1."""
-    e_values = sorted(set(e_values))
-    tasks = [(e, n) for e in e_values for n in range(1, n_max + 1)]
-    rows = [r for chunk in _run_tasks(_dichotomy_rows, tasks, jobs) for r in chunk]
-    rows.sort(key=_block_key)
-    report = SweepReport(params={"e": e_values, "n_max": n_max})
-    report.rows = rows
-    report.counterexamples = [r for r in rows if not r["ok"]]
-    return _finish(report)
-
-
-# ---------------------------------------------------------------------------
-# Exploratory: the same dichotomy over non-regular classes
-
-
-def _remark1_rows(task):
-    e, n = task
-    rows = []
-    irregular = [lam for lam in partitions_of(n) if not is_e_class_regular(lam, e)]
-    for b in blocks_of(e, n):
-        target = b.weight + 1
-        violations = []
-        for lam in irregular:
-            c = c_mu(b, lam).count
-            if 0 < c < target:
-                violations.append({"class": render_partition(lam), "count": c})
-        rows.append(
-            {
-                "e": e,
-                "n": n,
-                "core": render_partition(b.core),
-                "w": b.weight,
-                "classes_checked": len(irregular),
-                "violations": violations,
-            }
-        )
-    return rows
+    return _block_sweep(_dichotomy_row, True, e_values, n_max, jobs)
 
 
 def verify_remark1(e_values, n_max: int, jobs: int = 1) -> SweepReport:
     """Dichotomy evidence over non-regular classes.  Exploratory: violations
     are reported in the rows but never fail the sweep."""
-    e_values = sorted(set(e_values))
-    tasks = [(e, n) for e in e_values for n in range(1, n_max + 1)]
-    rows = [r for chunk in _run_tasks(_remark1_rows, tasks, jobs) for r in chunk]
-    rows.sort(key=_block_key)
-    report = SweepReport(params={"e": e_values, "n_max": n_max, "exploratory": True})
-    report.rows = rows
-    report.verdict = "pass"
-    return report
+    return _block_sweep(_remark1_row, False, e_values, n_max, jobs, exploratory=True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +277,7 @@ def _chibar_rows(task):
 def verify_chibar(n_max: int, jobs: int = 1) -> SweepReport:
     """The signed hook-addition combination vanishes on every class with no
     part equal to the hook length."""
-    tasks = [(n,) for n in range(1, n_max + 1)]
+    tasks = [(n,) for n in range(n_max, 0, -1)]
     rows = [r for chunk in _run_tasks(_chibar_rows, tasks, jobs) for r in chunk]
     rows.sort(key=lambda r: r["n"])
     report = SweepReport(params={"n_max": n_max})
@@ -374,7 +320,9 @@ def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5)) -> Sweep
             report.counterexamples.append({"check": "near_hooks", "n": n})
     for e in sorted(set(e_values)):
         for n in range(1, n_max + 1):
-            for b in blocks_of(e, n):
+            blocks = blocks_of(e, n)
+            groups = core_groups(e, n)
+            for b in blocks:
                 if not b.core:
                     continue
                 lam = extremal_lambda(b)
@@ -386,8 +334,8 @@ def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5)) -> Sweep
                         ext_ok = False
                 dom_ok = all(
                     dominance_leq(lam, diagonal_hooks(nu))
-                    for nu in partitions_of(n)
-                    if e_core(nu, e) == b.core and eng.char_value(nu, lam) != 0
+                    for nu in groups[b.core]
+                    if eng.char_value(nu, lam) != 0
                 )
                 row = {
                     "check": "block",

@@ -6,6 +6,7 @@ from charblocks.blocks import (
     block_partitions_via_hooks,
     blocks_of,
     c_mu,
+    core_groups,
     extremal_lambda,
     min_c_over_regular,
     opposite_sign_partner,
@@ -17,6 +18,7 @@ from charblocks.partitions import (
     is_e_class_regular,
     partitions_of,
 )
+from charblocks import blocks
 from charblocks.sweeps import (
     lemma1_sweep,
     nonvanishing_row_structure_check,
@@ -26,6 +28,7 @@ from charblocks.sweeps import (
     verify_remark2,
     verify_theorem1,
 )
+from oracles import greedy_core
 
 
 class TestBlockId:
@@ -71,6 +74,16 @@ class TestBlockPartitions:
                     seen.extend(block_partitions(b))
                 assert sorted(seen) == sorted(partitions_of(n))
 
+    def test_core_groups_match_greedy_oracle(self):
+        for e in range(2, 6):
+            for n in range(1, 10):
+                groups = core_groups(e, n)
+                assert set(groups) == {b.core for b in blocks_of(e, n)}
+                for core, members in groups.items():
+                    assert members == [
+                        nu for nu in partitions_of(n) if greedy_core(nu, e) == core
+                    ]
+
 
 class TestCount:
     def test_paper_zero_cases(self):
@@ -103,6 +116,12 @@ class TestExtremal:
         assert extremal_lambda(BlockId(e=2, core=(), weight=2)) == (3, 1)
         assert extremal_lambda(BlockId(e=4, core=(2, 1), weight=1)) == (7,)
         assert extremal_lambda(BlockId(e=3, core=(3, 1), weight=0)) == (4,)
+
+    def test_irregular_construction_raises(self, monkeypatch):
+        # (2,) is what the construction gives if the diagonal hooks were (2,)
+        monkeypatch.setattr(blocks, "diagonal_hooks", lambda core: (2,))
+        with pytest.raises(RuntimeError, match=r"block BlockId\(e=2, core=\(1,\)"):
+            extremal_lambda(BlockId(e=2, core=(1,), weight=0))
 
     def test_attains_weight_plus_one(self):
         for e in range(2, 6):
@@ -189,11 +208,18 @@ class TestSweeps:
         assert report.passed()
         assert all(r["ok"] for r in report.rows)
 
-    def test_theorem1_parallel_matches_serial(self):
-        serial = verify_theorem1([2], 7, jobs=1)
-        parallel = verify_theorem1([2], 7, jobs=2)
-        assert serial.rows == parallel.rows
-        assert serial.verdict == parallel.verdict
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda jobs: verify_theorem1([2, 3], 7, jobs=jobs),
+            lambda jobs: verify_dichotomy([2, 3], 7, jobs=jobs),
+            lambda jobs: verify_remark1([2, 3], 7, jobs=jobs),
+            lambda jobs: verify_chibar(6, jobs=jobs),
+        ],
+        ids=["theorem1", "dichotomy", "remark1", "chibar"],
+    )
+    def test_parallel_matches_serial(self, sweep):
+        assert sweep(2).to_json(meta=False) == sweep(1).to_json(meta=False)
 
     def test_dichotomy_small(self):
         report = verify_dichotomy([2, 3, 4], 8)

@@ -209,6 +209,13 @@ class TestCores:
         assert e_weight((6, 1), 4) == 1
         assert e_weight((6, 4, 2), 3) == 0
 
+    def test_weight_rejects_a_core_of_the_wrong_size(self, monkeypatch):
+        from charblocks import partitions
+
+        monkeypatch.setattr(partitions, "e_core", lambda p, e: (1,))
+        with pytest.raises(RuntimeError, match="not divisible by e = 2"):
+            e_weight((3, 1), 2)
+
     def test_core_weight_consistency(self):
         for n in range(13):
             for p in partitions_of(n):
