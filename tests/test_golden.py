@@ -28,11 +28,18 @@ CASES = {
     "verify-dichotomy": ("verify", "dichotomy", *_SWEEP),
     "verify-remark1": ("verify", "remark1", *_SWEEP),
     "verify-rowstructure": ("verify", "rowstructure", *_SWEEP),
+    "verify-chibar": ("verify", "chibar", *_SWEEP),
+    "verify-remark2": ("verify", "remark2", *_SWEEP),
+    "verify-lemma1": ("verify", "lemma1", "--max-size", "7", "--format", "json",
+                      "--no-meta"),
     "verify-theorem1-plain": ("verify", "theorem1", "--format", "plain"),
     "block": ("block", *_BLOCK),
     "count": ("count", *_BLOCK, "--class", "2^3,1"),
     "extremal": ("extremal", "--e", "2", "--core", "-", "--weight", "2",
                  "--format", "json"),
+    "table-plain": ("table", "--n", "6", "--format", "plain"),
+    "table-csv": ("table", "--n", "6", "--format", "csv"),
+    "table-json": ("table", "--n", "6", "--format", "json"),
 }
 
 
