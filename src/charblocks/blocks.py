@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import CharEngine, shared_engine
+from .characters import shared_engine
 from .partitions import (
     add_hooks_of_length,
     check_partition,
@@ -80,23 +80,23 @@ def block_partitions_via_hooks(b: BlockId):
     return sorted(current, reverse=True)
 
 
-def c_mu(b: BlockId, lam, engine: CharEngine | None = None) -> CountReport:
+def c_mu(b: BlockId, lam) -> CountReport:
     """Count (with witnesses) the block members whose character is non-zero on lam."""
     lam = check_partition(sorted(lam, reverse=True))
     if sum(lam) != b.n:
         raise ValueError(f"|lambda| = {sum(lam)} != block n = {b.n}")
-    eng = engine or shared_engine()
+    eng = shared_engine()
     witnesses = [nu for nu in block_partitions(b) if eng.char_value(nu, lam) != 0]
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
 
 
-def count_matrix(groups: dict, classes, engine: CharEngine | None = None) -> dict:
+def count_matrix(groups: dict, classes) -> dict:
     """Blocks x classes non-zero counts: {core: {class: count}} for the member
     lists in groups (as from core_groups), classes kept in the given order.
 
     Each (member, class) character value is evaluated once.
     """
-    eng = engine or shared_engine()
+    eng = shared_engine()
     return {
         core: {lam: sum(1 for nu in members if eng.char_value(nu, lam) != 0)
                for lam in classes}
@@ -140,7 +140,7 @@ def extremal_lambda(b: BlockId):
     return lam
 
 
-def min_c_over_regular(b: BlockId, engine: CharEngine | None = None):
+def min_c_over_regular(b: BlockId):
     """Exhaustive minimum of the count over e-class-regular classes.
 
     Returns (min, argmin, zeros): the smallest non-zero count with a class
@@ -150,11 +150,11 @@ def min_c_over_regular(b: BlockId, engine: CharEngine | None = None):
     if b.e < 2:
         raise ValueError("regular classes need e >= 2")
     regular = [lam for lam in partitions_of(b.n) if is_e_class_regular(lam, b.e)]
-    counts = count_matrix({b.core: block_partitions(b)}, regular, engine)
+    counts = count_matrix({b.core: block_partitions(b)}, regular)
     return min_nonzero(counts[b.core])
 
 
-def opposite_sign_partner(psi, phi, b: BlockId, lam, engine: CharEngine | None = None):
+def opposite_sign_partner(psi, phi, b: BlockId, lam):
     """A block member whose signed contribution to the hook-addition virtual
     character of phi cancels against that of psi.
 
@@ -166,7 +166,7 @@ def opposite_sign_partner(psi, phi, b: BlockId, lam, engine: CharEngine | None =
     psi = check_partition(psi)
     phi = check_partition(phi)
     lam = check_partition(sorted(lam, reverse=True))
-    eng = engine or shared_engine()
+    eng = shared_engine()
     length = sum(psi) - sum(phi)
     if length <= 0 or length % b.e != 0:
         raise ValueError("psi must arise from phi by adding a hook of length divisible by e")

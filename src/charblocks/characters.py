@@ -31,8 +31,7 @@ class CharEngine:
     grows, which is fine at the sizes this library targets.
     """
 
-    def __init__(self, use_cache: bool = True):
-        self.use_cache = use_cache
+    def __init__(self):
         self._cache: dict = {}
 
     def char_value(self, nu, lam) -> int:
@@ -47,14 +46,13 @@ class CharEngine:
         if not lam:
             return 1
         key = (nu, lam)
-        if self.use_cache and key in self._cache:
+        if key in self._cache:
             return self._cache[key]
         t, rest = lam[0], lam[1:]
         total = 0
         for smaller, leg in remove_hooks_of_length(nu, t):
             total += (-1) ** leg * self._mn(smaller, rest)
-        if self.use_cache:
-            self._cache[key] = total
+        self._cache[key] = total
         return total
 
     def cache_size(self) -> int:
@@ -68,8 +66,8 @@ def shared_engine() -> CharEngine:
     return _shared
 
 
-def char_value(nu, lam, engine: CharEngine | None = None) -> int:
-    return (engine or _shared).char_value(nu, lam)
+def char_value(nu, lam) -> int:
+    return _shared.char_value(nu, lam)
 
 
 def char_degree(nu) -> int:
@@ -91,17 +89,27 @@ def centralizer_order(lam) -> int:
     return z
 
 
-def character_table(n: int, engine: CharEngine | None = None):
+def character_table(n: int):
     """Full table of S_n: rows and columns both in partitions_of(n) order."""
-    eng = engine or _shared
     ps = partitions_of(n)
-    return [[eng.char_value(nu, lam) for lam in ps] for nu in ps]
+    return [[_shared.char_value(nu, lam) for lam in ps] for nu in ps]
 
 
-def character_table_csv(n: int, engine: CharEngine | None = None) -> str:
+def character_table_text(n: int) -> str:
+    """Aligned plain text with class labels as header and character labels
+    as first column, every cell right-justified to one width."""
+    labels = [render_partition(p) for p in partitions_of(n)]
+    width = max([len(s) for s in labels] + [5])
+    lines = [" " * width + "  " + "  ".join(s.rjust(width) for s in labels)]
+    for label, row in zip(labels, character_table(n)):
+        lines.append(label.rjust(width) + "  " + "  ".join(str(v).rjust(width) for v in row))
+    return "\n".join(lines)
+
+
+def character_table_csv(n: int) -> str:
     """CSV with class labels as header and character labels as first column."""
     ps = partitions_of(n)
-    rows = character_table(n, engine)
+    rows = character_table(n)
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
     writer.writerow([""] + [render_partition(lam) for lam in ps])
@@ -110,10 +118,10 @@ def character_table_csv(n: int, engine: CharEngine | None = None) -> str:
     return buf.getvalue()
 
 
-def character_table_json(n: int, engine: CharEngine | None = None) -> str:
+def character_table_json(n: int) -> str:
     """JSON object with values as a row-major array of decimal strings."""
     ps = partitions_of(n)
-    rows = character_table(n, engine)
+    rows = character_table(n)
     labels = [render_partition(p) for p in ps]
     obj = {
         "n": n,
@@ -131,12 +139,11 @@ class VirtualChar:
     level: int
     coeffs: dict = field(default_factory=dict)
 
-    def value(self, lam, engine: CharEngine | None = None) -> int:
+    def value(self, lam) -> int:
         lam = check_partition(sorted(lam, reverse=True))
         if sum(lam) != self.level:
             raise ValueError(f"class size {sum(lam)} != level {self.level}")
-        eng = engine or _shared
-        return sum(c * eng.char_value(beta, lam) for beta, c in self.coeffs.items())
+        return sum(c * _shared.char_value(beta, lam) for beta, c in self.coeffs.items())
 
 
 def chi_bar_coeffs(phi, length: int, n: int) -> VirtualChar:
@@ -149,7 +156,7 @@ def chi_bar_coeffs(phi, length: int, n: int) -> VirtualChar:
     return VirtualChar(level=n, coeffs=coeffs)
 
 
-def chi_bar_value(phi, length: int, lam, engine: CharEngine | None = None) -> int:
+def chi_bar_value(phi, length: int, lam) -> int:
     """Value on lam of the signed hook-addition combination built on phi."""
     lam = check_partition(sorted(lam, reverse=True))
-    return chi_bar_coeffs(phi, length, sum(lam)).value(lam, engine)
+    return chi_bar_coeffs(phi, length, sum(lam)).value(lam)

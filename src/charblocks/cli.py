@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and passing verifications), 1 when a verification
-sweep fails, 2 on usage or parse errors.
+sweep fails, 2 on usage or parse errors, 3 on any other error.
 """
 
 from __future__ import annotations
@@ -71,18 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "sweep",
-        choices=[
-            "theorem1",
-            "dichotomy",
-            "lemma1",
-            "remark1",
-            "remark2",
-            "chibar",
-            "rowstructure",
-        ],
-    )
+    p.add_argument("sweep", choices=list(_SWEEPS))
     p.add_argument("--e", default="2..5", help="e value or inclusive range a..b")
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--max-size", type=int, default=8, help="size bound for lemma1")
@@ -169,40 +158,28 @@ def _cmd_extremal(args) -> int:
 def _cmd_table(args) -> int:
     if args.n < 0 or args.n > 30:
         raise ValueError("table size must be between 0 and 30")
-    if args.format == "json":
-        print(characters.character_table_json(args.n))
-    elif args.format == "csv":
-        print(characters.character_table_csv(args.n), end="")
-    else:
-        from .partitions import partitions_of
-
-        ps = partitions_of(args.n)
-        rows = characters.character_table(args.n)
-        labels = [render_partition(p) for p in ps]
-        width = max([len(s) for s in labels] + [5])
-        print(" " * width + "  " + "  ".join(s.rjust(width) for s in labels))
-        for label, row in zip(labels, rows):
-            print(label.rjust(width) + "  "
-                  + "  ".join(str(v).rjust(width) for v in row))
+    table = {"plain": characters.character_table_text,
+             "csv": characters.character_table_csv,
+             "json": characters.character_table_json}[args.format](args.n)
+    # The CSV writer already ends every row with a newline.
+    print(table, end="" if args.format == "csv" else "\n")
     return 0
 
 
+# Each verify sweep as a function of the parsed arguments and the e values.
+_SWEEPS = {
+    "theorem1": lambda a, e: sweeps.verify_theorem1(e, a.max_n, a.jobs),
+    "dichotomy": lambda a, e: sweeps.verify_dichotomy(e, a.max_n, a.jobs),
+    "lemma1": lambda a, e: sweeps.lemma1_sweep(a.max_size, a.jobs),
+    "remark1": lambda a, e: sweeps.verify_remark1(e, a.max_n, a.jobs),
+    "remark2": lambda a, e: sweeps.verify_remark2(a.max_n, jobs=a.jobs),
+    "chibar": lambda a, e: sweeps.verify_chibar(a.max_n, a.jobs),
+    "rowstructure": lambda a, e: sweeps.nonvanishing_row_structure_check(a.max_n, e, a.jobs),
+}
+
+
 def _cmd_verify(args) -> int:
-    e_values = _parse_e_range(args.e)
-    if args.sweep == "theorem1":
-        report = sweeps.verify_theorem1(e_values, args.max_n, jobs=args.jobs)
-    elif args.sweep == "dichotomy":
-        report = sweeps.verify_dichotomy(e_values, args.max_n, jobs=args.jobs)
-    elif args.sweep == "lemma1":
-        report = sweeps.lemma1_sweep(args.max_size)
-    elif args.sweep == "remark1":
-        report = sweeps.verify_remark1(e_values, args.max_n, jobs=args.jobs)
-    elif args.sweep == "remark2":
-        report = sweeps.verify_remark2(args.max_n)
-    elif args.sweep == "chibar":
-        report = sweeps.verify_chibar(args.max_n, jobs=args.jobs)
-    else:
-        report = sweeps.nonvanishing_row_structure_check(args.max_n, e_values)
+    report = _SWEEPS[args.sweep](args, _parse_e_range(args.e))
     if args.format == "json":
         print(report.to_json(meta=not args.no_meta))
     else:
@@ -229,6 +206,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Anything else is a fault, not a usage error or a failed check.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

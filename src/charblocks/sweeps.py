@@ -13,15 +13,18 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
+from itertools import combinations
 
 from .blocks import blocks_of, core_groups, count_matrix, extremal_lambda, min_nonzero
 from .characters import chi_bar_value, shared_engine
 from .partitions import (
     diagonal_hooks,
     dominance_leq,
+    hook_lengths,
     is_e_class_regular,
     partitions_of,
-    remove_hook,
+    remove_hooks_of_length,
     render_partition,
 )
 
@@ -61,16 +64,28 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _finish(report: SweepReport) -> SweepReport:
+def _sweep(task_fn, tasks, jobs: int, params: dict) -> SweepReport:
+    """Run task_fn on every task and join its (rows, counterexamples) results
+    in task order; the verdict is "fail" exactly when a counterexample exists.
+
+    Each task is a tuple ending in its n.  A task costs about p(n), so the
+    largest n is dispatched first.  More than one job runs the tasks in a
+    process pool of at most one worker per task.
+    """
+    order = sorted(range(len(tasks)), key=lambda i: tasks[i][-1], reverse=True)
+    dispatched = [tasks[i] for i in order]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(task_fn, dispatched))
+    else:
+        done = [task_fn(t) for t in dispatched]
+    report = SweepReport(params=params)
+    for _, (rows, counterexamples) in sorted(zip(order, done), key=lambda r: r[0]):
+        report.rows.extend(rows)
+        report.counterexamples.extend(counterexamples)
     report.verdict = "fail" if report.counterexamples else "pass"
     return report
-
-
-def _run_tasks(fn, tasks, jobs: int):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -78,28 +93,26 @@ def _run_tasks(fn, tasks, jobs: int):
 # the dichotomy read it over the regular classes, remark1 over the others.
 
 
-def _block_rows(task):
-    format_row, regular, e, n = task
+def _block_rows(format_row, regular: bool, task):
+    e, n = task
     blocks = blocks_of(e, n)
     classes = [lam for lam in partitions_of(n) if is_e_class_regular(lam, e) == regular]
     counts = count_matrix(core_groups(e, n), classes)
-    return [
+    rows = [
         {"e": e, "n": n, "core": render_partition(b.core), "w": b.weight,
          **format_row(b, counts[b.core])}
         for b in blocks
     ]
+    rows.sort(key=lambda r: r["core"])
+    return rows, [r for r in rows if not r.get("ok", True)]
 
 
 def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
                  **params) -> SweepReport:
     e_values = sorted(set(e_values))
-    # Largest n first: a task costs about p(n), and rows are sorted afterwards.
-    tasks = [(format_row, regular, e, n) for n in range(n_max, 0, -1) for e in e_values]
-    rows = [r for chunk in _run_tasks(_block_rows, tasks, jobs) for r in chunk]
-    rows.sort(key=lambda r: (r["e"], r["n"], r["core"]))
-    report = SweepReport(params={"e": e_values, "n_max": n_max, **params}, rows=rows)
-    report.counterexamples = [r for r in rows if not r.get("ok", True)]
-    return _finish(report)
+    tasks = [(e, n) for e in e_values for n in range(1, n_max + 1)]
+    return _sweep(partial(_block_rows, format_row, regular), tasks, jobs,
+                  {"e": e_values, "n_max": n_max, **params})
 
 
 def _theorem1_row(b, counts):
@@ -154,47 +167,39 @@ def verify_remark1(e_values, n_max: int, jobs: int = 1) -> SweepReport:
 # e = 1: counts over the full character table of S_n
 
 
-def _count_nonzero(lam, engine) -> int:
-    n = sum(lam)
-    return sum(1 for nu in partitions_of(n) if engine.char_value(nu, lam) != 0)
-
-
 def _exceeds_sqrt_bound(c: int, n: int) -> bool:
     # c > n - sqrt(2n) + 1, decided exactly in integers
     t = n + 1 - c
     return t <= 0 or t * t < 2 * n
 
 
-def verify_remark2(n_max: int, bound_max: int | None = None) -> SweepReport:
+def _remark2_rows(bound_max: int, task):
+    # e = 1: the whole character table of S_n is a single block.
+    (n,) = task
+    hook = (n - 1, 1)
+    classes = partitions_of(n) if n <= bound_max else [hook]
+    counts = count_matrix({(): partitions_of(n)}, classes)[()]
+    row = {"n": n, "c_(n-1,1)": counts[hook], "expected": n - 1,
+           "ok": counts[hook] == n - 1}
+    if n <= bound_max:
+        bound_ok = all(_exceeds_sqrt_bound(c, n) for c in counts.values())
+        row["bound_ok"] = bound_ok
+        row["min_c"] = min(counts.values())
+        row["conjecture_min_is_n_minus_1"] = row["min_c"] == n - 1
+        row["ok"] = row["ok"] and bound_ok
+    return [row], [] if row["ok"] else [row]
+
+
+def verify_remark2(n_max: int, bound_max: int | None = None, jobs: int = 1) -> SweepReport:
     """e=1 checks: the class (n-1, 1) misses exactly one character for n >= 3,
     and every class count beats n - sqrt(2n) + 1.  Whether the minimum count
     equals n-1 is reported, not asserted."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     bound_max = n_max if bound_max is None else bound_max
-    eng = shared_engine()
-    report = SweepReport(params={"n_max": n_max, "bound_max": bound_max})
-    for n in range(3, n_max + 1):
-        c_transposition_free = _count_nonzero((n - 1, 1), eng)
-        ok = c_transposition_free == n - 1
-        row = {
-            "n": n,
-            "c_(n-1,1)": c_transposition_free,
-            "expected": n - 1,
-            "ok": ok,
-        }
-        if n <= bound_max:
-            counts = [_count_nonzero(lam, eng) for lam in partitions_of(n)]
-            bound_ok = all(_exceeds_sqrt_bound(c, n) for c in counts)
-            row["bound_ok"] = bound_ok
-            row["min_c"] = min(counts)
-            row["conjecture_min_is_n_minus_1"] = min(counts) == n - 1
-            ok = ok and bound_ok
-            row["ok"] = ok
-        report.rows.append(row)
-        if not ok:
-            report.counterexamples.append(row)
-    return _finish(report)
+    tasks = [(n,) for n in range(3, n_max + 1)]
+    return _sweep(partial(_remark2_rows, bound_max), tasks, jobs,
+                  {"n_max": n_max, "bound_max": bound_max})
 
 
 # ---------------------------------------------------------------------------
@@ -206,46 +211,40 @@ def _removal_map(p):
 
     For a fixed result the removed hook is unique, so the leg is well defined.
     """
-    out = {}
-    for i in range(1, len(p) + 1):
-        for j in range(1, p[i - 1] + 1):
-            q, leg = remove_hook(p, i, j)
-            out[q] = leg
-    return out
+    return {q: leg for h in set(hook_lengths(p).values())
+            for q, leg in remove_hooks_of_length(p, h)}
 
 
-def lemma1_sweep(m_max: int) -> SweepReport:
+def _lemma1_rows(task):
+    (m,) = task
+    parts = partitions_of(m)
+    checked = 0
+    failures = []
+    maps = {d: _removal_map(d) for d in parts}
+    for d1, d2 in combinations(parts, 2):
+        common = sorted(set(maps[d1]) & set(maps[d2]), reverse=True)
+        for g1, g2 in combinations(common, 2):
+            legs = (maps[d1][g1], maps[d2][g1], maps[d1][g2], maps[d2][g2])
+            checked += 1
+            if (-1) ** sum(legs) != -1:
+                failures.append(
+                    {
+                        "delta1": render_partition(d1),
+                        "delta2": render_partition(d2),
+                        "gamma1": render_partition(g1),
+                        "gamma2": render_partition(g2),
+                        "legs": list(legs),
+                    }
+                )
+    return [{"m": m, "checked": checked, "failures": len(failures)}], failures
+
+
+def lemma1_sweep(m_max: int, jobs: int = 1) -> SweepReport:
     """For every pair of distinct partitions of the same size m <= m_max and
     every pair of distinct common single-hook-removal results, check that the
     four leg lengths have odd sum."""
-    report = SweepReport(params={"m_max": m_max})
-    for m in range(2, m_max + 1):
-        parts = partitions_of(m)
-        checked = 0
-        failures = []
-        maps = {d: _removal_map(d) for d in parts}
-        for a in range(len(parts)):
-            for b in range(a + 1, len(parts)):
-                d1, d2 = parts[a], parts[b]
-                common = sorted(set(maps[d1]) & set(maps[d2]), reverse=True)
-                for x in range(len(common)):
-                    for y in range(x + 1, len(common)):
-                        g1, g2 = common[x], common[y]
-                        legs = (maps[d1][g1], maps[d2][g1], maps[d1][g2], maps[d2][g2])
-                        checked += 1
-                        if (-1) ** sum(legs) != -1:
-                            failures.append(
-                                {
-                                    "delta1": render_partition(d1),
-                                    "delta2": render_partition(d2),
-                                    "gamma1": render_partition(g1),
-                                    "gamma2": render_partition(g2),
-                                    "legs": list(legs),
-                                }
-                            )
-        report.rows.append({"m": m, "checked": checked, "failures": len(failures)})
-        report.counterexamples.extend(failures)
-    return _finish(report)
+    tasks = [(m,) for m in range(2, m_max + 1)]
+    return _sweep(_lemma1_rows, tasks, jobs, {"m_max": m_max})
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +270,14 @@ def _chibar_rows(task):
                             "class": render_partition(lam),
                         }
                     )
-    return [{"n": n, "checked": checked, "failures": failures}]
+    return [{"n": n, "checked": checked, "failures": len(failures)}], failures
 
 
 def verify_chibar(n_max: int, jobs: int = 1) -> SweepReport:
     """The signed hook-addition combination vanishes on every class with no
     part equal to the hook length."""
-    tasks = [(n,) for n in range(n_max, 0, -1)]
-    rows = [r for chunk in _run_tasks(_chibar_rows, tasks, jobs) for r in chunk]
-    rows.sort(key=lambda r: r["n"])
-    report = SweepReport(params={"n_max": n_max})
-    report.rows = rows
-    report.counterexamples = [f for r in rows for f in r["failures"]]
-    for r in rows:
-        r["failures"] = len(r["failures"])
-    return _finish(report)
+    tasks = [(n,) for n in range(1, n_max + 1)]
+    return _sweep(_chibar_rows, tasks, jobs, {"n_max": n_max})
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +292,48 @@ def _near_hook_set(n: int):
     return out
 
 
-def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5)) -> SweepReport:
+def _rowstructure_rows(task):
+    eng = shared_engine()
+    if task[0] == "near_hooks":
+        n = task[1]
+        lam = (n - 1, 1)
+        actual = {nu for nu in partitions_of(n) if eng.char_value(nu, lam) != 0}
+        ok = actual == _near_hook_set(n)
+        return ([{"check": "near_hooks", "n": n, "ok": ok}],
+                [] if ok else [{"check": "near_hooks", "n": n}])
+    _, e, n = task
+    blocks = blocks_of(e, n)
+    groups = core_groups(e, n)
+    rows = []
+    for b in blocks:
+        if not b.core:
+            continue
+        lam = extremal_lambda(b)
+        we = b.weight * b.e
+        ext_ok = all(
+            eng.char_value((b.core[0] + d,) + b.core[1:] + (1,) * (we - d), lam) != 0
+            for d in range(we + 1)
+        )
+        dom_ok = all(
+            dominance_leq(lam, diagonal_hooks(nu))
+            for nu in groups[b.core]
+            if eng.char_value(nu, lam) != 0
+        )
+        rows.append({
+            "check": "block",
+            "e": e,
+            "n": n,
+            "core": render_partition(b.core),
+            "w": b.weight,
+            "extensions_ok": ext_ok,
+            "dominance_ok": dom_ok,
+            "ok": ext_ok and dom_ok,
+        })
+    return rows, [r for r in rows if not r["ok"]]
+
+
+def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5),
+                                     jobs: int = 1) -> SweepReport:
     """Three structural facts feeding the extremal count:
 
     (a) the characters non-zero on (n-1, 1) are exactly the near-hooks;
@@ -309,45 +342,7 @@ def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5)) -> Sweep
     (c) non-vanishing on the constructed class forces dominance below the
         diagonal-hook partition.
     """
-    eng = shared_engine()
-    report = SweepReport(params={"n_max": n_max, "e": sorted(set(e_values))})
-    for n in range(2, n_max + 1):
-        lam = (n - 1, 1)
-        actual = {nu for nu in partitions_of(n) if eng.char_value(nu, lam) != 0}
-        ok = actual == _near_hook_set(n)
-        report.rows.append({"check": "near_hooks", "n": n, "ok": ok})
-        if not ok:
-            report.counterexamples.append({"check": "near_hooks", "n": n})
-    for e in sorted(set(e_values)):
-        for n in range(1, n_max + 1):
-            blocks = blocks_of(e, n)
-            groups = core_groups(e, n)
-            for b in blocks:
-                if not b.core:
-                    continue
-                lam = extremal_lambda(b)
-                we = b.weight * b.e
-                ext_ok = True
-                for d in range(we + 1):
-                    psi = (b.core[0] + d,) + b.core[1:] + (1,) * (we - d)
-                    if eng.char_value(psi, lam) == 0:
-                        ext_ok = False
-                dom_ok = all(
-                    dominance_leq(lam, diagonal_hooks(nu))
-                    for nu in groups[b.core]
-                    if eng.char_value(nu, lam) != 0
-                )
-                row = {
-                    "check": "block",
-                    "e": e,
-                    "n": n,
-                    "core": render_partition(b.core),
-                    "w": b.weight,
-                    "extensions_ok": ext_ok,
-                    "dominance_ok": dom_ok,
-                    "ok": ext_ok and dom_ok,
-                }
-                report.rows.append(row)
-                if not (ext_ok and dom_ok):
-                    report.counterexamples.append(row)
-    return _finish(report)
+    e_values = sorted(set(e_values))
+    tasks = [("near_hooks", n) for n in range(2, n_max + 1)]
+    tasks += [("block", e, n) for e in e_values for n in range(1, n_max + 1)]
+    return _sweep(_rowstructure_rows, tasks, jobs, {"n_max": n_max, "e": e_values})

@@ -18,7 +18,7 @@ from charblocks.partitions import (
     is_e_class_regular,
     partitions_of,
 )
-from charblocks import blocks
+from charblocks import blocks, sweeps
 from charblocks.sweeps import (
     lemma1_sweep,
     nonvanishing_row_structure_check,
@@ -215,11 +215,39 @@ class TestSweeps:
             lambda jobs: verify_dichotomy([2, 3], 7, jobs=jobs),
             lambda jobs: verify_remark1([2, 3], 7, jobs=jobs),
             lambda jobs: verify_chibar(6, jobs=jobs),
+            lambda jobs: lemma1_sweep(6, jobs=jobs),
+            lambda jobs: verify_remark2(8, jobs=jobs),
+            lambda jobs: verify_remark2(10, bound_max=9, jobs=jobs),
+            lambda jobs: nonvanishing_row_structure_check(7, [2, 3], jobs=jobs),
         ],
-        ids=["theorem1", "dichotomy", "remark1", "chibar"],
+        ids=["theorem1", "dichotomy", "remark1", "chibar", "lemma1", "remark2",
+             "remark2-bound", "rowstructure"],
     )
     def test_parallel_matches_serial(self, sweep):
         assert sweep(2).to_json(meta=False) == sweep(1).to_json(meta=False)
+
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+        report = verify_chibar(3, jobs=64)
+        assert started == [3]
+        assert report.to_json(meta=False) == verify_chibar(3).to_json(meta=False)
+        verify_chibar(1, jobs=64)
+        assert started == [3]  # a single task runs in-process
 
     def test_dichotomy_small(self):
         report = verify_dichotomy([2, 3, 4], 8)

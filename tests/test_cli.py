@@ -128,6 +128,21 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+class TestUnexpectedErrors:
+    @pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+    def test_exit_3_with_one_line(self, capsys, monkeypatch, error):
+        from charblocks import cli
+
+        def fail(args):
+            raise error("invariant broken")
+
+        monkeypatch.setitem(cli._HANDLERS, "core", fail)
+        code, out, err = run(capsys, "core", "--e", "2", "1")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {error.__name__}: invariant broken\n"
+
+
 class TestRoundTrip:
     def test_printed_partitions_reparse(self, capsys):
         from charblocks.partitions import parse_partition
