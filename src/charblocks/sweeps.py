@@ -103,6 +103,7 @@ def _block_rows(format_row, regular: bool, task):
          **format_row(b, counts[b.core])}
         for b in blocks
     ]
+    # Reports list a task's blocks by rendered core, as text ("10" < "2").
     rows.sort(key=lambda r: r["core"])
     return rows, [r for r in rows if not r.get("ok", True)]
 
