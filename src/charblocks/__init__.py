@@ -19,7 +19,6 @@ from .partitions import (
 )
 from .characters import (
     CharEngine,
-    VirtualChar,
     centralizer_order,
     char_degree,
     char_value,
@@ -31,7 +30,6 @@ from .blocks import (
     BlockId,
     CountReport,
     block_partitions,
-    block_partitions_via_hooks,
     blocks_of,
     c_mu,
     core_groups,

@@ -69,24 +69,13 @@ def block_partitions(b: BlockId):
     return core_groups(b.e, b.n)[b.core]
 
 
-def block_partitions_via_hooks(b: BlockId):
-    """Same set generated by repeatedly adding e-hooks to the core.
-
-    Independent of the e-core grouping above; kept as a cross-check.
-    """
-    current = {b.core}
-    for _ in range(b.weight):
-        current = {q for p in current for q, _ in add_hooks_of_length(p, b.e)}
-    return sorted(current, reverse=True)
-
-
 def c_mu(b: BlockId, lam) -> CountReport:
     """Count (with witnesses) the block members whose character is non-zero on lam."""
     lam = check_partition(sorted(lam, reverse=True))
     if sum(lam) != b.n:
         raise ValueError(f"|lambda| = {sum(lam)} != block n = {b.n}")
-    eng = shared_engine()
-    witnesses = [nu for nu in block_partitions(b) if eng.char_value(nu, lam) != 0]
+    mn = shared_engine()._mn
+    witnesses = [nu for nu in block_partitions(b) if mn(nu, lam) != 0]
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
 
 
@@ -94,12 +83,20 @@ def count_matrix(groups: dict, classes) -> dict:
     """Blocks x classes non-zero counts: {core: {class: count}} for the member
     lists in groups (as from core_groups), classes kept in the given order.
 
-    Each (member, class) character value is evaluated once.
+    Each member and each class is checked once; each (member, class)
+    character value is evaluated once.
     """
-    eng = shared_engine()
+    groups = {core: [check_partition(nu) for nu in members]
+              for core, members in groups.items()}
+    classes = {lam: check_partition(sorted(lam, reverse=True)) for lam in classes}
+    sizes = {sum(nu) for members in groups.values() for nu in members}
+    for lam in classes.values():
+        if sizes - {sum(lam)}:
+            raise ValueError(f"member sizes {sorted(sizes)} but |lambda|={sum(lam)}")
+    mn = shared_engine()._mn
     return {
-        core: {lam: sum(1 for nu in members if eng.char_value(nu, lam) != 0)
-               for lam in classes}
+        core: {lam: sum(1 for nu in members if mn(nu, canon) != 0)
+               for lam, canon in classes.items()}
         for core, members in groups.items()
     }
 
@@ -166,7 +163,7 @@ def opposite_sign_partner(psi, phi, b: BlockId, lam):
     psi = check_partition(psi)
     phi = check_partition(phi)
     lam = check_partition(sorted(lam, reverse=True))
-    eng = shared_engine()
+    mn = shared_engine()._mn
     length = sum(psi) - sum(phi)
     if length <= 0 or length % b.e != 0:
         raise ValueError("psi must arise from phi by adding a hook of length divisible by e")
@@ -174,14 +171,16 @@ def opposite_sign_partner(psi, phi, b: BlockId, lam):
     legs = dict(additions)
     if psi not in legs:
         raise ValueError(f"{psi} is not a single-hook addition of {phi}")
-    psi_val = eng.char_value(psi, lam)
+    if sum(psi) != sum(lam):
+        raise ValueError(f"|nu|={sum(psi)} but |lambda|={sum(lam)}")
+    psi_val = mn(psi, lam)
     if psi_val == 0:
         raise ValueError("psi must have non-zero character value on lam")
     psi_term = (-1) ** legs[psi] * psi_val
     for beta, leg in additions:
         if beta == psi:
             continue
-        term = (-1) ** leg * eng.char_value(beta, lam)
+        term = (-1) ** leg * mn(beta, lam)
         if term != 0 and (term > 0) != (psi_term > 0):
             return beta
     raise RuntimeError(

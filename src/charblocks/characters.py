@@ -3,6 +3,10 @@
 Everything is plain Python int arithmetic, so values are exact at any size.
 A CharEngine memoizes the recursion on (character label, remaining class
 parts); the module keeps one shared engine for convenience functions.
+
+Public functions check their partition arguments once, on entry.  Partitions
+the library built itself (from partitions_of, hook moves or core groups) go
+straight to the unchecked recursion CharEngine._mn.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from math import factorial
 
 from .partitions import (
@@ -43,6 +46,7 @@ class CharEngine:
         return self._mn(nu, lam)
 
     def _mn(self, nu, lam) -> int:
+        # Unchecked: nu and lam are valid partition tuples of one size.
         if not lam:
             return 1
         key = (nu, lam)
@@ -92,7 +96,7 @@ def centralizer_order(lam) -> int:
 def character_table(n: int):
     """Full table of S_n: rows and columns both in partitions_of(n) order."""
     ps = partitions_of(n)
-    return [[_shared.char_value(nu, lam) for lam in ps] for nu in ps]
+    return [[_shared._mn(nu, lam) for lam in ps] for nu in ps]
 
 
 def character_table_text(n: int) -> str:
@@ -132,31 +136,17 @@ def character_table_json(n: int) -> str:
     return json.dumps(obj, indent=2)
 
 
-@dataclass
-class VirtualChar:
-    """Sparse integer combination of irreducible characters of S_level."""
-
-    level: int
-    coeffs: dict = field(default_factory=dict)
-
-    def value(self, lam) -> int:
-        lam = check_partition(sorted(lam, reverse=True))
-        if sum(lam) != self.level:
-            raise ValueError(f"class size {sum(lam)} != level {self.level}")
-        return sum(c * _shared.char_value(beta, lam) for beta, c in self.coeffs.items())
-
-
-def chi_bar_coeffs(phi, length: int, n: int) -> VirtualChar:
-    """Coefficients (-1)^leg on the partitions reachable from phi by adding
-    one rim hook of the given length; zero elsewhere."""
+def chi_bar_coeffs(phi, length: int, n: int) -> dict:
+    """Coefficients {partition: (-1)^leg} of the partitions of n reachable from
+    phi by adding one rim hook of the given length; zero elsewhere."""
     phi = check_partition(phi)
     if sum(phi) + length != n:
         raise ValueError(f"|phi| + length = {sum(phi) + length} != n = {n}")
-    coeffs = {beta: (-1) ** leg for beta, leg in add_hooks_of_length(phi, length)}
-    return VirtualChar(level=n, coeffs=coeffs)
+    return {beta: (-1) ** leg for beta, leg in add_hooks_of_length(phi, length)}
 
 
 def chi_bar_value(phi, length: int, lam) -> int:
     """Value on lam of the signed hook-addition combination built on phi."""
     lam = check_partition(sorted(lam, reverse=True))
-    return chi_bar_coeffs(phi, length, sum(lam)).value(lam)
+    coeffs = chi_bar_coeffs(phi, length, sum(lam))
+    return sum(c * _shared._mn(beta, lam) for beta, c in coeffs.items())

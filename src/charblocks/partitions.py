@@ -126,67 +126,62 @@ def partition_from_beta_set(beads) -> tuple:
     bs = sorted(beads, reverse=True)
     if len(set(bs)) != len(bs) or (bs and bs[-1] < 0):
         raise ValueError("beta-set must consist of distinct non-negative integers")
+    return _decode(bs)
+
+
+def _decode(bs) -> tuple:
+    """Partition of a beta-set given as distinct non-negative ints in descending order."""
     m = len(bs)
     parts = [bs[i] - (m - 1 - i) for i in range(m)]
     return tuple(x for x in parts if x > 0)
 
 
+def _slide_beads(beads, step: int):
+    """Every move of one bead of the set beads by step to a free non-negative
+    position, as (partition, leg) pairs in descending partition order.  The
+    leg is the number of beads the moving bead passes: how far its place in
+    the sorted bead list shifts."""
+    bs = sorted(beads, reverse=True)
+    out = []
+    for i, x in enumerate(bs):
+        y = x + step
+        if y >= 0 and y not in beads:
+            moved = bs[:i] + bs[i + 1:] + [y]
+            moved.sort(reverse=True)
+            out.append((_decode(moved), abs(moved.index(y) - i)))
+    out.sort(key=lambda t: t[0], reverse=True)
+    return out
+
+
 def remove_hook(p, i: int, j: int):
     """Remove the rim hook of cell (i, j); returns (smaller partition, leg length).
 
-    Computed on the abacus: the bead of row i drops by the hook length, the
-    leg is the number of beads strictly between old and new positions.
+    The hook's top row is i, so among the removals of its length it is the
+    one that first changes p in row i.
     """
     h = hook_length(p, i, j)
-    b = len(p)
-    beads = sorted(beta_set(p, b), reverse=True)
-    old = beads[i - 1]
-    new = old - h
-    rest = set(beads)
-    rest.discard(old)
-    if new < 0 or new in rest:
-        raise ValueError(f"cell ({i},{j}) of {p} does not give a removable hook")
-    leg = sum(1 for x in rest if new < x < old)
-    rest.add(new)
-    return partition_from_beta_set(rest), leg
+    return next((q, leg) for q, leg in remove_hooks_of_length(p, h)
+                if q[:i - 1] == p[:i - 1] and q[:i] != p[:i])
 
 
 def remove_hooks_of_length(p, length: int):
-    """All single rim-hook removals of the given length, as (partition, leg) pairs."""
+    """All single rim-hook removals of the given length, as (partition, leg) pairs.
+
+    On the abacus a removal slides one bead down by the length.
+    """
     if length < 1:
         raise ValueError("hook length must be >= 1")
-    b = len(p)
-    beads = beta_set(p, b)
-    out = []
-    for x in beads:
-        y = x - length
-        if y >= 0 and y not in beads:
-            leg = sum(1 for z in beads if y < z < x)
-            rest = set(beads)
-            rest.discard(x)
-            rest.add(y)
-            out.append((partition_from_beta_set(rest), leg))
-    out.sort(key=lambda t: t[0], reverse=True)
-    return out
+    return _slide_beads(beta_set(p, len(p)), -length)
 
 
 def add_hooks_of_length(p, length: int):
-    """All single rim-hook additions of the given length, as (partition, leg) pairs."""
+    """All single rim-hook additions of the given length, as (partition, leg) pairs.
+
+    On the abacus an addition slides one bead up by the length.
+    """
     if length < 1:
         raise ValueError("hook length must be >= 1")
-    b = len(p) + length
-    beads = beta_set(p, b)
-    out = []
-    for x in beads:
-        y = x + length
-        if y not in beads:
-            leg = sum(1 for z in beads if x < z < y)
-            rest = set(beads)
-            rest.discard(x)
-            rest.add(y)
-            out.append((partition_from_beta_set(rest), leg))
-    out.sort(key=lambda t: t[0], reverse=True)
-    return out
+    return _slide_beads(beta_set(p, len(p) + length), length)
 
 
 def e_core(p, e: int):
@@ -201,7 +196,7 @@ def e_core(p, e: int):
     for r in range(e):
         for k in range(len(runners[r])):
             core_beads.append(r + k * e)
-    return partition_from_beta_set(core_beads)
+    return _decode(sorted(core_beads, reverse=True))
 
 
 def e_weight(p, e: int) -> int:

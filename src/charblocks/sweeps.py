@@ -53,7 +53,8 @@ class SweepReport:
     def to_text(self) -> str:
         lines = [f"params: {self.params}"]
         if self.rows:
-            keys = list(self.rows[0].keys())
+            # Rows of one report may differ in columns; show all, first seen first.
+            keys = list(dict.fromkeys(k for r in self.rows for k in r))
             table = [keys] + [[str(r.get(k, "")) for k in keys] for r in self.rows]
             widths = [max(len(row[i]) for row in table) for i in range(len(keys))]
             for row in table:
@@ -294,11 +295,11 @@ def _near_hook_set(n: int):
 
 
 def _rowstructure_rows(task):
-    eng = shared_engine()
+    mn = shared_engine()._mn
     if task[0] == "near_hooks":
         n = task[1]
         lam = (n - 1, 1)
-        actual = {nu for nu in partitions_of(n) if eng.char_value(nu, lam) != 0}
+        actual = {nu for nu in partitions_of(n) if mn(nu, lam) != 0}
         ok = actual == _near_hook_set(n)
         return ([{"check": "near_hooks", "n": n, "ok": ok}],
                 [] if ok else [{"check": "near_hooks", "n": n}])
@@ -312,13 +313,13 @@ def _rowstructure_rows(task):
         lam = extremal_lambda(b)
         we = b.weight * b.e
         ext_ok = all(
-            eng.char_value((b.core[0] + d,) + b.core[1:] + (1,) * (we - d), lam) != 0
+            mn((b.core[0] + d,) + b.core[1:] + (1,) * (we - d), lam) != 0
             for d in range(we + 1)
         )
         dom_ok = all(
             dominance_leq(lam, diagonal_hooks(nu))
             for nu in groups[b.core]
-            if eng.char_value(nu, lam) != 0
+            if mn(nu, lam) != 0
         )
         rows.append({
             "check": "block",

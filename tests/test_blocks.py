@@ -3,7 +3,6 @@ import pytest
 from charblocks.blocks import (
     BlockId,
     block_partitions,
-    block_partitions_via_hooks,
     blocks_of,
     c_mu,
     core_groups,
@@ -28,7 +27,7 @@ from charblocks.sweeps import (
     verify_remark2,
     verify_theorem1,
 )
-from oracles import greedy_core
+from oracles import brute_force_additions, greedy_core
 
 
 class TestBlockId:
@@ -60,11 +59,17 @@ class TestBlockPartitions:
         assert block_partitions(b) == [(3, 1)]
 
     def test_hook_generation_agrees(self):
+        # A block is the closure of its core under adding e-hooks; the
+        # additions come from the rim-walk oracle, not from beta-sets.
         for e in range(2, 5):
             for n in range(1, 10):
                 for b in blocks_of(e, n):
                     if b.weight <= 2:
-                        assert block_partitions_via_hooks(b) == block_partitions(b)
+                        current = {b.core}
+                        for _ in range(b.weight):
+                            current = {q for p in current
+                                       for q, _ in brute_force_additions(p, e)}
+                        assert sorted(current, reverse=True) == block_partitions(b)
 
     def test_blocks_partition_all_partitions(self):
         for e in range(2, 5):

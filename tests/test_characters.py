@@ -130,10 +130,10 @@ class TestCharacterTable:
 
 class TestChiBar:
     def test_coeff_examples(self):
-        assert chi_bar_coeffs((), 2, 2).coeffs == {(2,): 1, (1, 1): -1}
+        assert chi_bar_coeffs((), 2, 2) == {(2,): 1, (1, 1): -1}
         # a length-1 hook always has leg 0, so both coefficients are +1
-        assert chi_bar_coeffs((1,), 1, 2).coeffs == {(2,): 1, (1, 1): 1}
-        assert chi_bar_coeffs((), 1, 1).coeffs == {(1,): 1}
+        assert chi_bar_coeffs((1,), 1, 2) == {(2,): 1, (1, 1): 1}
+        assert chi_bar_coeffs((), 1, 1) == {(1,): 1}
 
     def test_coeff_size_mismatch(self):
         with pytest.raises(ValueError):

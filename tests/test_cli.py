@@ -122,6 +122,18 @@ class TestVerify:
                         "--format", "json")
         assert "generated" in json.loads(out)["meta"]
 
+    def test_plain_shows_columns_of_every_row(self, capsys):
+        # The first rows are near-hook rows; the block rows add columns.
+        code, out, _ = run(capsys, "verify", "rowstructure", "--e", "2",
+                           "--max-n", "4", "--format", "plain")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].split() == ["check", "n", "ok", "e", "core", "w",
+                                    "extensions_ok", "dominance_ok"]
+        assert lines[2].split() == ["near_hooks", "2", "True"]
+        assert lines[-2].split() == ["block", "3", "True", "2", "1", "1",
+                                     "True", "True"]
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
