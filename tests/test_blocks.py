@@ -82,12 +82,28 @@ class TestBlockPartitions:
     def test_core_groups_match_greedy_oracle(self):
         for e in range(2, 6):
             for n in range(1, 10):
+                # The e-cores found independently: partitions of the sizes
+                # m = n (mod e) up to n that the greedy stripping leaves alone.
+                cores = sorted((mu for m in range(n % e, n + 1, e)
+                                for mu in partitions_of(m) if greedy_core(mu, e) == mu),
+                               reverse=True)
                 groups = core_groups(e, n)
-                assert set(groups) == {b.core for b in blocks_of(e, n)}
+                assert set(groups) == set(cores)
+                found = list(blocks_of(e, n))
+                assert [b.core for b in found] == cores
+                for b in found:
+                    assert b.weight == (n - sum(b.core)) // e
                 for core, members in groups.items():
                     assert members == [
                         nu for nu in partitions_of(n) if greedy_core(nu, e) == core
                     ]
+
+
+    @pytest.mark.parametrize("e,n", [(2, 0), (3, 0), (1, 4), (1, 1)])
+    def test_blocks_of_rejects_degenerate(self, e, n):
+        # S_0 has no block; e = 1 is the whole character table, not a block sweep.
+        with pytest.raises(ValueError):
+            blocks_of(e, n)
 
 
 class TestCount:
