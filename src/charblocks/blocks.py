@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import shared_engine
+from .characters import chi_bar_coeffs, shared_engine
 from .partitions import (
-    add_hooks_of_length,
     check_partition,
     diagonal_hooks,
     e_core,
@@ -80,8 +79,9 @@ def c_mu(b: BlockId, lam) -> CountReport:
 
 
 def count_matrix(groups: dict, classes) -> dict:
-    """Blocks x classes non-zero counts: {core: {class: count}} for the member
-    lists in groups (as from core_groups), classes kept in the given order.
+    """Blocks x classes non-zero counts: {key: {class: count}} for the member
+    lists in groups (as from blocks_of or core_groups), keys and classes kept
+    in the given order.
 
     Each member and each class is checked once; each (member, class)
     character value is evaluated once.
@@ -95,9 +95,9 @@ def count_matrix(groups: dict, classes) -> dict:
             raise ValueError(f"member sizes {sorted(sizes)} but |lambda|={sum(lam)}")
     mn = shared_engine()._mn
     return {
-        core: {lam: sum(1 for nu in members if mn(nu, canon) != 0)
-               for lam, canon in classes.items()}
-        for core, members in groups.items()
+        key: {lam: sum(1 for nu in members if mn(nu, canon) != 0)
+              for lam, canon in classes.items()}
+        for key, members in groups.items()
     }
 
 
@@ -147,8 +147,8 @@ def min_c_over_regular(b: BlockId):
     if b.e < 2:
         raise ValueError("regular classes need e >= 2")
     regular = [lam for lam in partitions_of(b.n) if is_e_class_regular(lam, b.e)]
-    counts = count_matrix({b.core: block_partitions(b)}, regular)
-    return min_nonzero(counts[b.core])
+    counts = count_matrix({b: block_partitions(b)}, regular)
+    return min_nonzero(counts[b])
 
 
 def opposite_sign_partner(psi, phi, b: BlockId, lam):
@@ -167,20 +167,17 @@ def opposite_sign_partner(psi, phi, b: BlockId, lam):
     length = sum(psi) - sum(phi)
     if length <= 0 or length % b.e != 0:
         raise ValueError("psi must arise from phi by adding a hook of length divisible by e")
-    additions = add_hooks_of_length(phi, length)
-    legs = dict(additions)
-    if psi not in legs:
+    signs = chi_bar_coeffs(phi, length, sum(psi))
+    if psi not in signs:
         raise ValueError(f"{psi} is not a single-hook addition of {phi}")
     if sum(psi) != sum(lam):
         raise ValueError(f"|nu|={sum(psi)} but |lambda|={sum(lam)}")
     psi_val = mn(psi, lam)
     if psi_val == 0:
         raise ValueError("psi must have non-zero character value on lam")
-    psi_term = (-1) ** legs[psi] * psi_val
-    for beta, leg in additions:
-        if beta == psi:
-            continue
-        term = (-1) ** leg * mn(beta, lam)
+    psi_term = signs[psi] * psi_val
+    for beta, sign in signs.items():
+        term = sign * mn(beta, lam)
         if term != 0 and (term > 0) != (psi_term > 0):
             return beta
     raise RuntimeError(
@@ -188,15 +185,11 @@ def opposite_sign_partner(psi, phi, b: BlockId, lam):
     )
 
 
-def blocks_of(e: int, n: int):
-    """All blocks of S_n for a given e, ordered by core."""
+def blocks_of(e: int, n: int) -> dict:
+    """All blocks of S_n for a given e with their members, {BlockId: members},
+    in reverse core order: one block per e-core among the partitions of n."""
     if e < 2:
         raise ValueError("block enumeration needs e >= 2")
-    out = []
-    for m in range(n % e, n + 1, e):
-        w = (n - m) // e
-        for mu in partitions_of(m):
-            if is_e_core(mu, e):
-                out.append(BlockId(e=e, core=mu, weight=w))
-    out.sort(key=lambda b: b.core, reverse=True)
-    return out
+    groups = core_groups(e, n)
+    return {BlockId(e=e, core=core, weight=(n - sum(core)) // e): groups[core]
+            for core in sorted(groups, reverse=True)}

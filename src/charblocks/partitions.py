@@ -105,12 +105,10 @@ def hook_lengths(p):
 
 def diagonal_hooks(p):
     """Hook lengths on the main diagonal, (h_11, ..., h_kk) with k maximal."""
-    out = []
-    i = 1
-    while i <= len(p) and p[i - 1] >= i:
-        out.append(hook_length(p, i, i))
-        i += 1
-    return tuple(out)
+    conj = conjugate(p)
+    # 0-based cell (k, k) lies in the diagram iff p[k] > k; its hook is
+    # (p[k] - k - 1) + (conj[k] - k - 1) + 1.
+    return tuple(p[k] + conj[k] - 2 * k - 1 for k in range(len(p)) if p[k] > k)
 
 
 def beta_set(p, bead_count: int) -> frozenset:

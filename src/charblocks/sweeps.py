@@ -16,8 +16,8 @@ from datetime import datetime, timezone
 from functools import partial
 from itertools import combinations
 
-from .blocks import blocks_of, core_groups, count_matrix, extremal_lambda, min_nonzero
-from .characters import chi_bar_value, shared_engine
+from .blocks import blocks_of, count_matrix, extremal_lambda, min_nonzero
+from .characters import chi_bar_coeffs, shared_engine
 from .partitions import (
     diagonal_hooks,
     dominance_leq,
@@ -73,6 +73,8 @@ def _sweep(task_fn, tasks, jobs: int, params: dict) -> SweepReport:
     largest n is dispatched first.  More than one job runs the tasks in a
     process pool of at most one worker per task.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     order = sorted(range(len(tasks)), key=lambda i: tasks[i][-1], reverse=True)
     dispatched = [tasks[i] for i in order]
     workers = min(jobs, len(tasks))
@@ -98,11 +100,10 @@ def _block_rows(format_row, regular: bool, task):
     e, n = task
     blocks = blocks_of(e, n)
     classes = [lam for lam in partitions_of(n) if is_e_class_regular(lam, e) == regular]
-    counts = count_matrix(core_groups(e, n), classes)
     rows = [
         {"e": e, "n": n, "core": render_partition(b.core), "w": b.weight,
-         **format_row(b, counts[b.core])}
-        for b in blocks
+         **format_row(b, counts)}
+        for b, counts in count_matrix(blocks, classes).items()
     ]
     # Reports list a task's blocks by rendered core, as text ("10" < "2").
     rows.sort(key=lambda r: r["core"])
@@ -255,15 +256,17 @@ def lemma1_sweep(m_max: int, jobs: int = 1) -> SweepReport:
 
 def _chibar_rows(task):
     (n,) = task
+    mn = shared_engine()._mn
     failures = []
     checked = 0
     for length in range(1, n + 1):
         for phi in partitions_of(n - length):
+            coeffs = chi_bar_coeffs(phi, length, n)
             for lam in partitions_of(n):
                 if length in lam:
                     continue
                 checked += 1
-                if chi_bar_value(phi, length, lam) != 0:
+                if sum(c * mn(beta, lam) for beta, c in coeffs.items()) != 0:
                     failures.append(
                         {
                             "n": n,
@@ -304,10 +307,8 @@ def _rowstructure_rows(task):
         return ([{"check": "near_hooks", "n": n, "ok": ok}],
                 [] if ok else [{"check": "near_hooks", "n": n}])
     _, e, n = task
-    blocks = blocks_of(e, n)
-    groups = core_groups(e, n)
     rows = []
-    for b in blocks:
+    for b, members in blocks_of(e, n).items():
         if not b.core:
             continue
         lam = extremal_lambda(b)
@@ -318,7 +319,7 @@ def _rowstructure_rows(task):
         )
         dom_ok = all(
             dominance_leq(lam, diagonal_hooks(nu))
-            for nu in groups[b.core]
+            for nu in members
             if mn(nu, lam) != 0
         )
         rows.append({

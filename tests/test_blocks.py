@@ -99,9 +99,10 @@ class TestBlockPartitions:
                     ]
 
 
-    @pytest.mark.parametrize("e,n", [(2, 0), (3, 0), (1, 4), (1, 1)])
+    @pytest.mark.parametrize("e,n", [(2, 0), (3, 0), (1, 4), (1, 1), (2, -1)])
     def test_blocks_of_rejects_degenerate(self, e, n):
-        # S_0 has no block; e = 1 is the whole character table, not a block sweep.
+        # S_0 has no block and a negative n no partition; e = 1 is the whole
+        # character table, not a block sweep.
         with pytest.raises(ValueError):
             blocks_of(e, n)
 
@@ -269,6 +270,13 @@ class TestSweeps:
         assert report.to_json(meta=False) == verify_chibar(3).to_json(meta=False)
         verify_chibar(1, jobs=64)
         assert started == [3]  # a single task runs in-process
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            verify_theorem1([2], 3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            lemma1_sweep(3, jobs=jobs)
 
     def test_dichotomy_small(self):
         report = verify_dichotomy([2, 3, 4], 8)

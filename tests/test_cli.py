@@ -139,6 +139,13 @@ class TestVerify:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "theorem1", "--max-n", "3", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == "error: jobs must be >= 1\n"
+
 
 class TestUnexpectedErrors:
     @pytest.mark.parametrize("error", [RuntimeError, RecursionError])

@@ -7,6 +7,7 @@ computation.  Runs are derandomized, so every run draws the same examples.
 
 from hypothesis import given, settings, strategies as st
 
+from charblocks.blocks import blocks_of, c_mu, count_matrix
 from charblocks.characters import char_value
 from charblocks.partitions import (
     add_hooks_of_length,
@@ -72,3 +73,19 @@ def test_core_matches_greedy_stripping(p, e):
 def test_char_value_matches_ascending_recursion(pair):
     nu, lam = pair
     assert char_value(nu, lam) == mn_ascending(nu, lam)
+
+
+@oracle
+@given(st.integers(2, 5).flatmap(
+    lambda e: st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(e), partition_of(n)))))
+def test_count_matrix_matches_ascending_recursion(pair):
+    # Each block's count on the drawn class is its members that the uncached
+    # ascending recursion finds non-zero, and agrees with the one-block c_mu.
+    e, lam = pair
+    blocks = blocks_of(e, sum(lam))
+    counts = count_matrix(blocks, [lam])
+    assert list(counts) == list(blocks)
+    for b, members in blocks.items():
+        count = sum(1 for nu in members if mn_ascending(nu, lam) != 0)
+        assert counts[b] == {lam: count}
+        assert c_mu(b, lam).count == count
