@@ -98,7 +98,6 @@ class TestBlockPartitions:
                         nu for nu in partitions_of(n) if greedy_core(nu, e) == core
                     ]
 
-
     @pytest.mark.parametrize("e,n", [(2, 0), (3, 0), (1, 4), (1, 1), (2, -1)])
     def test_blocks_of_rejects_degenerate(self, e, n):
         # S_0 has no block and a negative n no partition; e = 1 is the whole

@@ -76,12 +76,10 @@ def test_char_value_matches_ascending_recursion(pair):
 
 
 @oracle
-@given(st.integers(2, 5).flatmap(
-    lambda e: st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(e), partition_of(n)))))
-def test_count_matrix_matches_ascending_recursion(pair):
+@given(st.integers(2, 5), st.integers(1, 8).flatmap(partition_of))
+def test_count_matrix_matches_ascending_recursion(e, lam):
     # Each block's count on the drawn class is its members that the uncached
     # ascending recursion finds non-zero, and agrees with the one-block c_mu.
-    e, lam = pair
     blocks = blocks_of(e, sum(lam))
     counts = count_matrix(blocks, [lam])
     assert list(counts) == list(blocks)
