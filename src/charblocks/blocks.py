@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import chi_bar_coeffs, shared_engine
+from .characters import chi_bar_coeffs, column
 from .partitions import (
     check_partition,
     diagonal_hooks,
@@ -73,8 +73,8 @@ def c_mu(b: BlockId, lam) -> CountReport:
     lam = check_partition(sorted(lam, reverse=True))
     if sum(lam) != b.n:
         raise ValueError(f"|lambda| = {sum(lam)} != block n = {b.n}")
-    mn = shared_engine()._mn
-    witnesses = [nu for nu in block_partitions(b) if mn(nu, lam) != 0]
+    col = column(lam)
+    witnesses = [nu for nu in block_partitions(b) if nu in col]
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
 
 
@@ -83,8 +83,8 @@ def count_matrix(groups: dict, classes) -> dict:
     lists in groups (as from blocks_of or core_groups), keys and classes kept
     in the given order.
 
-    Each member and each class is checked once; each (member, class)
-    character value is evaluated once.
+    Each member and each class is checked once.  Each class's character
+    column is built once, and a count is the number of members found in it.
     """
     groups = {core: [check_partition(nu) for nu in members]
               for core, members in groups.items()}
@@ -93,12 +93,12 @@ def count_matrix(groups: dict, classes) -> dict:
     for lam in classes.values():
         if sizes - {sum(lam)}:
             raise ValueError(f"member sizes {sorted(sizes)} but |lambda|={sum(lam)}")
-    mn = shared_engine()._mn
-    return {
-        key: {lam: sum(1 for nu in members if mn(nu, canon) != 0)
-              for lam, canon in classes.items()}
-        for key, members in groups.items()
-    }
+    counts = {key: {} for key in groups}
+    for lam, canon in classes.items():
+        col = column(canon)
+        for key, members in groups.items():
+            counts[key][lam] = sum(1 for nu in members if nu in col)
+    return counts
 
 
 def min_nonzero(counts: dict):
@@ -163,7 +163,6 @@ def opposite_sign_partner(psi, phi, b: BlockId, lam):
     psi = check_partition(psi)
     phi = check_partition(phi)
     lam = check_partition(sorted(lam, reverse=True))
-    mn = shared_engine()._mn
     length = sum(psi) - sum(phi)
     if length <= 0 or length % b.e != 0:
         raise ValueError("psi must arise from phi by adding a hook of length divisible by e")
@@ -172,12 +171,12 @@ def opposite_sign_partner(psi, phi, b: BlockId, lam):
         raise ValueError(f"{psi} is not a single-hook addition of {phi}")
     if sum(psi) != sum(lam):
         raise ValueError(f"|nu|={sum(psi)} but |lambda|={sum(lam)}")
-    psi_val = mn(psi, lam)
-    if psi_val == 0:
+    col = column(lam)
+    if psi not in col:
         raise ValueError("psi must have non-zero character value on lam")
-    psi_term = signs[psi] * psi_val
+    psi_term = signs[psi] * col[psi]
     for beta, sign in signs.items():
-        term = sign * mn(beta, lam)
+        term = sign * col.get(beta, 0)
         if term != 0 and (term > 0) != (psi_term > 0):
             return beta
     raise RuntimeError(

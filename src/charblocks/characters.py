@@ -1,12 +1,12 @@
-"""Exact symmetric-group character values via the Murnaghan-Nakayama recursion.
+"""Exact symmetric-group character values by the Murnaghan-Nakayama rule.
 
-Everything is plain Python int arithmetic, so values are exact at any size.
-A CharEngine memoizes the recursion on (character label, remaining class
-parts); the module keeps one shared engine for convenience functions.
-
-Public functions check their partition arguments once, on entry.  Partitions
-the library built itself (from partitions_of, hook moves or core groups) go
-straight to the unchecked recursion CharEngine._mn.
+Values are plain Python ints, so they are exact at any size.  One loop,
+_mn_sum, carries a {partition: coefficient} map through the signed rim-hook
+moves of one class part at a time, with no memo and no recursion.  column(lam)
+adds hooks to the empty partition, smallest part first: the Schur expansion
+of p_lam (Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 11 and
+I.7), whose coefficients are the column chi^.(lam).  It is unchecked, for
+partitions the library built; public functions check arguments once, on entry.
 """
 
 from __future__ import annotations
@@ -26,16 +26,29 @@ from .partitions import (
 )
 
 
+def _mn_sum(states: dict, parts, moves) -> dict:
+    """Carry {partition: coefficient} through moves(p, t) -> [(q, leg)] for
+    each part t in turn, signed by (-1)^leg; zero coefficients are dropped."""
+    for t in parts:
+        nxt = {}
+        for p, c in states.items():
+            for q, leg in moves(p, t):
+                nxt[q] = nxt.get(q, 0) + (-c if leg % 2 else c)
+        states = {q: c for q, c in nxt.items() if c}
+    return states
+
+
+def column(lam) -> dict:
+    """{nu: chi^nu(lam)} over the characters non-zero on the class lam, a
+    partition tuple in descending order (unchecked)."""
+    return _mn_sum({(): 1}, reversed(lam), add_hooks_of_length)
+
+
 class CharEngine:
-    """Murnaghan-Nakayama evaluator with a per-instance memo table.
-
-    Class parts are consumed largest first; the memo key is the pair
-    (character label, remaining parts in descending order).  The table only
-    grows, which is fine at the sizes this library targets.
-    """
-
-    def __init__(self):
-        self._cache: dict = {}
+    """Checked single values: rim hooks are removed from nu, largest class
+    part first, and no state is kept.  The class, shared_engine() and
+    cache_size() (always 0) remain only because the benchmark's traced run
+    (perfbench/traced.py and perfbench/spans.py) reads them."""
 
     def char_value(self, nu, lam) -> int:
         """The value of the irreducible character labeled nu on the class lam."""
@@ -43,24 +56,10 @@ class CharEngine:
         lam = check_partition(sorted(lam, reverse=True))
         if sum(nu) != sum(lam):
             raise ValueError(f"|nu|={sum(nu)} but |lambda|={sum(lam)}")
-        return self._mn(nu, lam)
-
-    def _mn(self, nu, lam) -> int:
-        # Unchecked: nu and lam are valid partition tuples of one size.
-        if not lam:
-            return 1
-        key = (nu, lam)
-        if key in self._cache:
-            return self._cache[key]
-        t, rest = lam[0], lam[1:]
-        total = 0
-        for smaller, leg in remove_hooks_of_length(nu, t):
-            total += (-1) ** leg * self._mn(smaller, rest)
-        self._cache[key] = total
-        return total
+        return _mn_sum({nu: 1}, lam, remove_hooks_of_length).get((), 0)
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        return 0
 
 
 _shared = CharEngine()
@@ -96,7 +95,8 @@ def centralizer_order(lam) -> int:
 def character_table(n: int):
     """Full table of S_n: rows and columns both in partitions_of(n) order."""
     ps = partitions_of(n)
-    return [[_shared._mn(nu, lam) for lam in ps] for nu in ps]
+    columns = [column(lam) for lam in ps]
+    return [[col.get(nu, 0) for col in columns] for nu in ps]
 
 
 def character_table_text(n: int) -> str:
@@ -149,4 +149,5 @@ def chi_bar_value(phi, length: int, lam) -> int:
     """Value on lam of the signed hook-addition combination built on phi."""
     lam = check_partition(sorted(lam, reverse=True))
     coeffs = chi_bar_coeffs(phi, length, sum(lam))
-    return sum(c * _shared._mn(beta, lam) for beta, c in coeffs.items())
+    col = column(lam)
+    return sum(c * col.get(beta, 0) for beta, c in coeffs.items())

@@ -17,7 +17,7 @@ from functools import partial
 from itertools import combinations
 
 from .blocks import blocks_of, count_matrix, extremal_lambda, min_nonzero
-from .characters import chi_bar_coeffs, shared_engine
+from .characters import chi_bar_coeffs, column
 from .partitions import (
     diagonal_hooks,
     dominance_leq,
@@ -71,10 +71,11 @@ def _sweep(task_fn, tasks, jobs: int, params: dict) -> SweepReport:
 
     Each task is a tuple ending in its n.  A task costs about p(n), so the
     largest n is dispatched first.  More than one job runs the tasks in a
-    process pool of at most one worker per task.
-    """
+    process pool of at most one worker per task.  No task is a usage error."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if not tasks:
+        raise ValueError("nothing to verify: the range is empty")
     order = sorted(range(len(tasks)), key=lambda i: tasks[i][-1], reverse=True)
     dispatched = [tasks[i] for i in order]
     workers = min(jobs, len(tasks))
@@ -92,30 +93,36 @@ def _sweep(task_fn, tasks, jobs: int, params: dict) -> SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# Block sweeps: one block x class count matrix per (e, n) task.  theorem1 and
-# the dichotomy read it over the regular classes, remark1 over the others.
+# Block sweeps: one count matrix per n over the blocks of every e, so a class's
+# column serves every e.  theorem1 and the dichotomy read each block's row over
+# its e's regular classes, remark1 over the others.
 
 
-def _block_rows(format_row, regular: bool, task):
-    e, n = task
-    blocks = blocks_of(e, n)
-    classes = [lam for lam in partitions_of(n) if is_e_class_regular(lam, e) == regular]
+def _block_rows(format_row, regular: bool, e_values, task):
+    (n,) = task
+    # blocks_of runs first, so an e below 2 fails with its message.
+    blocks = {b: members for e in e_values for b, members in blocks_of(e, n).items()}
+    # The e values whose (ir)regular classes include each class.
+    es = {lam: {e for e in e_values if is_e_class_regular(lam, e) == regular}
+          for lam in partitions_of(n)}
     rows = [
-        {"e": e, "n": n, "core": render_partition(b.core), "w": b.weight,
-         **format_row(b, counts)}
-        for b, counts in count_matrix(blocks, classes).items()
+        {"e": b.e, "n": n, "core": render_partition(b.core), "w": b.weight,
+         **format_row(b, {lam: c for lam, c in counts.items() if b.e in es[lam]})}
+        for b, counts in count_matrix(blocks, [lam for lam in es if es[lam]]).items()
     ]
-    # Reports list a task's blocks by rendered core, as text ("10" < "2").
-    rows.sort(key=lambda r: r["core"])
     return rows, [r for r in rows if not r.get("ok", True)]
 
 
 def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
                  **params) -> SweepReport:
     e_values = sorted(set(e_values))
-    tasks = [(e, n) for e in e_values for n in range(1, n_max + 1)]
-    return _sweep(partial(_block_rows, format_row, regular), tasks, jobs,
-                  {"e": e_values, "n_max": n_max, **params})
+    tasks = [(n,) for n in range(1, n_max + 1)] if e_values else []
+    report = _sweep(partial(_block_rows, format_row, regular, e_values), tasks, jobs,
+                    {"e": e_values, "n_max": n_max, **params})
+    # Reports list blocks by e, n and rendered core, as text ("10" < "2").
+    for rows in (report.rows, report.counterexamples):
+        rows.sort(key=lambda r: (r["e"], r["n"], r["core"]))
+    return report
 
 
 def _theorem1_row(b, counts):
@@ -256,17 +263,17 @@ def lemma1_sweep(m_max: int, jobs: int = 1) -> SweepReport:
 
 def _chibar_rows(task):
     (n,) = task
-    mn = shared_engine()._mn
+    columns = {lam: column(lam) for lam in partitions_of(n)}
     failures = []
     checked = 0
     for length in range(1, n + 1):
         for phi in partitions_of(n - length):
             coeffs = chi_bar_coeffs(phi, length, n)
-            for lam in partitions_of(n):
+            for lam, col in columns.items():
                 if length in lam:
                     continue
                 checked += 1
-                if sum(c * mn(beta, lam) for beta, c in coeffs.items()) != 0:
+                if sum(c * col.get(beta, 0) for beta, c in coeffs.items()) != 0:
                     failures.append(
                         {
                             "n": n,
@@ -298,30 +305,23 @@ def _near_hook_set(n: int):
 
 
 def _rowstructure_rows(task):
-    mn = shared_engine()._mn
     if task[0] == "near_hooks":
         n = task[1]
-        lam = (n - 1, 1)
-        actual = {nu for nu in partitions_of(n) if mn(nu, lam) != 0}
-        ok = actual == _near_hook_set(n)
+        ok = set(column((n - 1, 1))) == _near_hook_set(n)
         return ([{"check": "near_hooks", "n": n, "ok": ok}],
                 [] if ok else [{"check": "near_hooks", "n": n}])
     _, e, n = task
+    blocks = {b: members for b, members in blocks_of(e, n).items() if b.core}
+    # Blocks of one n often share their extremal class: one column per class.
+    columns = {lam: column(lam) for lam in {extremal_lambda(b) for b in blocks}}
     rows = []
-    for b, members in blocks_of(e, n).items():
-        if not b.core:
-            continue
+    for b, members in blocks.items():
         lam = extremal_lambda(b)
+        col = columns[lam]
         we = b.weight * b.e
-        ext_ok = all(
-            mn((b.core[0] + d,) + b.core[1:] + (1,) * (we - d), lam) != 0
-            for d in range(we + 1)
-        )
-        dom_ok = all(
-            dominance_leq(lam, diagonal_hooks(nu))
-            for nu in members
-            if mn(nu, lam) != 0
-        )
+        ext_ok = all((b.core[0] + d,) + b.core[1:] + (1,) * (we - d) in col
+                     for d in range(we + 1))
+        dom_ok = all(dominance_leq(lam, diagonal_hooks(nu)) for nu in members if nu in col)
         rows.append({
             "check": "block",
             "e": e,

@@ -223,6 +223,30 @@ class TestOppositeSignPartner:
             opposite_sign_partner((2, 1, 1), (2,), b2, (3, 1))
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """The sweeps' process pool swapped for an in-process one that records
+    the worker counts asked for and the tasks it is given; no pool starts."""
+    seen = {"workers": [], "tasks": []}
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen["workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            seen["tasks"].extend(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+    return seen
+
+
 class TestSweeps:
     def test_theorem1_small(self):
         report = verify_theorem1([2, 3], 8)
@@ -247,28 +271,41 @@ class TestSweeps:
     def test_parallel_matches_serial(self, sweep):
         assert sweep(2).to_json(meta=False) == sweep(1).to_json(meta=False)
 
-    def test_workers_capped_at_task_count(self, monkeypatch):
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+    def test_workers_capped_at_task_count(self, fake_pool):
+        started = fake_pool["workers"]
         report = verify_chibar(3, jobs=64)
         assert started == [3]
         assert report.to_json(meta=False) == verify_chibar(3).to_json(meta=False)
         verify_chibar(1, jobs=64)
         assert started == [3]  # a single task runs in-process
+
+    @pytest.mark.parametrize("sweep", [verify_theorem1, verify_dichotomy, verify_remark1])
+    def test_block_sweeps_one_task_per_n(self, fake_pool, sweep):
+        report = sweep([2, 3, 4], 5, jobs=2)
+        assert fake_pool["tasks"] == [(5,), (4,), (3,), (2,), (1,)]
+        assert report.to_json(meta=False) == sweep([2, 3, 4], 5).to_json(meta=False)
+        keys = [(r["e"], r["n"], r["core"]) for r in report.rows]
+        assert keys == sorted(keys) and {e for e, _, _ in keys} == {2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda: verify_theorem1([2, 3], 0),
+            lambda: verify_dichotomy([2], -1),
+            lambda: verify_remark1([], 5),
+            lambda: verify_chibar(-3),
+            lambda: lemma1_sweep(1),
+            lambda: nonvanishing_row_structure_check(0),
+        ],
+        ids=["theorem1", "dichotomy", "remark1-no-e", "chibar", "lemma1", "rowstructure"],
+    )
+    def test_empty_range_rejected(self, sweep):
+        with pytest.raises(ValueError, match="nothing to verify: the range is empty"):
+            sweep()
+
+    def test_remark2_keeps_its_range_message(self):
+        with pytest.raises(ValueError, match="n_max must be >= 3"):
+            verify_remark2(2)
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from charblocks.characters import (
-    CharEngine,
     centralizer_order,
     char_degree,
     char_value,
@@ -12,6 +11,7 @@ from charblocks.characters import (
     character_table_json,
     chi_bar_coeffs,
     chi_bar_value,
+    column,
 )
 from charblocks.partitions import partitions_of, render_partition
 
@@ -56,14 +56,12 @@ class TestCharValue:
                 for lam in partitions_of(n):
                     assert char_value(nu, lam) == mn_ascending(nu, lam)
 
-    def test_cache_soundness(self):
-        # a fresh memo, filled here, against the uncached oracle
-        engine = CharEngine()
-        for n in range(1, 7):
-            for nu in partitions_of(n):
-                for lam in partitions_of(n):
-                    assert engine.char_value(nu, lam) == mn_ascending(nu, lam)
-        assert engine.cache_size() > 0
+    def test_column_matches_ascending_recursion(self):
+        # each column holds exactly the non-zero values of the oracle
+        for n in range(0, 7):
+            for lam in partitions_of(n):
+                expected = {nu: mn_ascending(nu, lam) for nu in partitions_of(n)}
+                assert column(lam) == {nu: v for nu, v in expected.items() if v != 0}
 
 
 class TestDegreesAndOrthogonality:

@@ -49,6 +49,21 @@ class TestChar:
         code, _, _ = run(capsys, "char", "--nu", "3", "--class", "2,2")
         assert code == 2
 
+    def test_deep_class_single_value(self, capsys):
+        # 1500 class parts: the evaluation is iterative, so no depth limit.
+        code, out, err = run(capsys, "char", "--nu", "1500", "--class", "1^1500")
+        assert (code, out, err) == (0, "1\n", "")
+
+    def test_json_degree_at_n_60(self, capsys):
+        from charblocks.characters import char_degree
+
+        code, out, _ = run(capsys, "char", "--nu", "30,20,7,3", "--class", "1^60",
+                           "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj == {"nu": "30,20,7,3", "class": "1^60",
+                       "value": str(char_degree((30, 20, 7, 3)))}
+
 
 class TestCount:
     def test_zero_cases(self, capsys):
@@ -138,6 +153,25 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theorem1", "--max-n", "0"],
+            ["chibar", "--max-n", "-3"],
+            ["lemma1", "--max-size", "1"],
+            ["rowstructure", "--max-n", "0", "--format", "json"],
+        ],
+    )
+    def test_empty_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: nothing to verify: the range is empty\n"
+
+    def test_remark2_range_message(self, capsys):
+        code, out, err = run(capsys, "verify", "remark2", "--max-n", "2")
+        assert (code, out, err) == (2, "", "error: n_max must be >= 3\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):

@@ -1,17 +1,18 @@
 """Property tests: the abacus code against the rim-walk oracles on random partitions.
 
 The oracles in tests/oracles.py never use beta-sets, so each property checks
-the bead moves, cores and the memoized recursion against an independent
-computation.  Runs are derandomized, so every run draws the same examples.
+the bead moves, cores, single character values and whole character columns
+against an independent computation.  Runs are derandomized, so every run draws the same examples.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from charblocks.blocks import blocks_of, c_mu, count_matrix
-from charblocks.characters import char_value
+from charblocks.characters import char_value, column
 from charblocks.partitions import (
     add_hooks_of_length,
     e_core,
+    partitions_of,
     remove_hook,
     remove_hooks_of_length,
 )
@@ -73,6 +74,14 @@ def test_core_matches_greedy_stripping(p, e):
 def test_char_value_matches_ascending_recursion(pair):
     nu, lam = pair
     assert char_value(nu, lam) == mn_ascending(nu, lam)
+
+
+@oracle
+@given(st.integers(0, 8).flatmap(partition_of))
+def test_column_matches_ascending_recursion(lam):
+    # The column holds every non-zero value on lam and nothing else.
+    expected = {nu: mn_ascending(nu, lam) for nu in partitions_of(sum(lam))}
+    assert column(lam) == {nu: v for nu, v in expected.items() if v != 0}
 
 
 @oracle
