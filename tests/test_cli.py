@@ -181,6 +181,35 @@ class TestVerify:
         assert err == "error: jobs must be >= 1\n"
 
 
+class TestFailedVerification:
+    """A failed check gives verdict "fail" and exit code 1."""
+
+    def test_near_hook_failures(self, capsys, monkeypatch):
+        from charblocks import sweeps
+
+        monkeypatch.setattr(sweeps, "_near_hook_set", lambda n: set())
+        code, out, _ = run(capsys, "verify", "rowstructure", "--e", "2", "--max-n", "5",
+                           "--format", "json", "--no-meta")
+        report = json.loads(out)
+        assert code == 1
+        assert report["verdict"] == "fail"
+        assert report["counterexamples"] == [{"check": "near_hooks", "n": n}
+                                             for n in range(2, 6)]
+
+    def test_every_theorem1_block_fails(self, capsys, monkeypatch):
+        from charblocks import sweeps
+
+        monkeypatch.setattr(sweeps, "min_nonzero", lambda counts: (0, None, []))
+        code, out, _ = run(capsys, "verify", "theorem1", "--e", "2..4", "--max-n", "7",
+                           "--format", "json", "--no-meta")
+        report = json.loads(out)
+        assert code == 1
+        assert report["verdict"] == "fail"
+        assert report["counterexamples"] == report["rows"]
+        keys = [(r["e"], r["n"], r["core"]) for r in report["rows"]]
+        assert keys == sorted(keys) and len(keys) > 20
+
+
 class TestUnexpectedErrors:
     @pytest.mark.parametrize("error", [RuntimeError, RecursionError])
     def test_exit_3_with_one_line(self, capsys, monkeypatch, error):

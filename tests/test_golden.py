@@ -21,7 +21,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 
 _SWEEP = ("--e", "2..5", "--max-n", "8", "--format", "json", "--no-meta")
-_BLOCK = ("--e", "4", "--core", "2,1", "--weight", "1", "--format", "json")
+_BLOCK_PLAIN = ("--e", "4", "--core", "2,1", "--weight", "1")
+_BLOCK = (*_BLOCK_PLAIN, "--format", "json")
 
 CASES = {
     "verify-theorem1": ("verify", "theorem1", *_SWEEP),
@@ -40,6 +41,16 @@ CASES = {
     "table-plain": ("table", "--n", "6", "--format", "plain"),
     "table-csv": ("table", "--n", "6", "--format", "csv"),
     "table-json": ("table", "--n", "6", "--format", "json"),
+    "verify-rowstructure-plain": ("verify", "rowstructure", "--e", "2..6",
+                                  "--max-n", "11", "--format", "plain"),
+    "core-plain": ("core", "--e", "3", "10,2,1,1,1"),
+    "core-json": ("core", "--e", "3", "10,2,1,1,1", "--format", "json"),
+    "char-plain": ("char", "--nu", "2,2", "--class", "3,1"),
+    "char-json": ("char", "--nu", "2,2", "--class", "3,1", "--format", "json"),
+    "count-plain": ("count", "--e", "2", "--core", "-", "--weight", "2",
+                    "--class", "3,1"),
+    "block-plain": ("block", *_BLOCK_PLAIN),
+    "extremal-plain": ("extremal", "--e", "2", "--core", "-", "--weight", "2"),
 }
 
 
@@ -55,6 +66,13 @@ def test_matches_golden(name):
     out, code = run_cli(CASES[name])
     assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
     assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
+def test_every_case_has_goldens_and_every_golden_a_case():
+    outs = {p.stem for p in GOLDEN_DIR.glob("*.out")}
+    codes = set(json.loads(EXIT_CODES.read_text()))
+    assert outs == set(CASES)
+    assert codes == set(CASES)
 
 
 def record() -> None:
