@@ -47,24 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True, help="class label")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
 
-    p = sub.add_parser("count", help="non-zero character count of a block on a class")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--core", required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
-
-    p = sub.add_parser("block", help="list the partitions of a block")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--core", required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
-
-    p = sub.add_parser("extremal", help="constructed class attaining count w+1")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--core", required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
+    for name, help_text in (("count", "non-zero character count of a block on a class"),
+                            ("block", "list the partitions of a block"),
+                            ("extremal", "constructed class attaining count w+1")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--e", type=int, required=True)
+        p.add_argument("--core", required=True)
+        p.add_argument("--weight", type=int, required=True)
+        if name == "count":
+            p.add_argument("--class", dest="cls", required=True)
+        p.add_argument("--format", choices=["plain", "json"], default="plain")
 
     p = sub.add_parser("table", help="full character table of S_n")
     p.add_argument("--n", type=int, required=True)
@@ -82,82 +74,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Largest n of table, count, block and extremal, which enumerate partitions of n.
+_MAX_N = 30
+
+
+def _emit(args, obj, lines) -> int:
+    """Print obj as one JSON line under --format json, else the lines; return 0."""
+    if args.format == "json":
+        print(json.dumps(obj))
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
+def _block(args):
+    """The block named by --e, --core and --weight, and its JSON fields."""
+    b = blocks.BlockId(e=args.e, core=parse_partition(args.core), weight=args.weight)
+    if b.n > _MAX_N:
+        raise ValueError(f"block size must be at most {_MAX_N}, got n = {b.n}")
+    return b, {"e": b.e, "core": render_partition(b.core), "weight": b.weight}
+
+
 def _cmd_core(args) -> int:
     p = parse_partition(args.partition)
-    core = e_core(p, args.e)
+    core = render_partition(e_core(p, args.e))
     w = e_weight(p, args.e)
-    if args.format == "json":
-        print(json.dumps({"partition": render_partition(p), "e": args.e,
-                          "core": render_partition(core), "weight": w}))
-    else:
-        print(f"core: {render_partition(core)}")
-        print(f"weight: {w}")
-    return 0
+    return _emit(args, {"partition": render_partition(p), "e": args.e, "core": core,
+                        "weight": w}, [f"core: {core}", f"weight: {w}"])
 
 
 def _cmd_char(args) -> int:
     nu = parse_partition(args.nu)
     lam = parse_partition(args.cls)
     value = characters.char_value(nu, lam)
-    if args.format == "json":
-        print(json.dumps({"nu": render_partition(nu), "class": render_partition(lam),
-                          "value": str(value)}))
-    else:
-        print(value)
-    return 0
-
-
-def _block_id(args) -> blocks.BlockId:
-    return blocks.BlockId(e=args.e, core=parse_partition(args.core), weight=args.weight)
+    return _emit(args, {"nu": render_partition(nu), "class": render_partition(lam),
+                        "value": str(value)}, [value])
 
 
 def _cmd_count(args) -> int:
-    b = _block_id(args)
+    b, fields = _block(args)
     report = blocks.c_mu(b, parse_partition(args.cls))
-    if args.format == "json":
-        print(json.dumps({
-            "e": b.e, "core": render_partition(b.core), "weight": b.weight,
-            "class": render_partition(report.class_label),
-            "count": report.count,
-            "witnesses": [render_partition(w) for w in report.witnesses],
-        }))
-    else:
-        print(f"count: {report.count}")
-        for w in report.witnesses:
-            print(f"  {render_partition(w)}")
-    return 0
+    witnesses = [render_partition(w) for w in report.witnesses]
+    return _emit(args, {**fields, "class": render_partition(report.class_label),
+                        "count": report.count, "witnesses": witnesses},
+                 [f"count: {report.count}"] + [f"  {w}" for w in witnesses])
 
 
 def _cmd_block(args) -> int:
-    b = _block_id(args)
-    members = blocks.block_partitions(b)
-    if args.format == "json":
-        print(json.dumps({"e": b.e, "core": render_partition(b.core),
-                          "weight": b.weight, "n": b.n,
-                          "partitions": [render_partition(p) for p in members]}))
-    else:
-        for p in members:
-            print(render_partition(p))
-    return 0
+    b, fields = _block(args)
+    members = [render_partition(p) for p in blocks.block_partitions(b)]
+    return _emit(args, {**fields, "n": b.n, "partitions": members}, members)
 
 
 def _cmd_extremal(args) -> int:
-    b = _block_id(args)
+    b, fields = _block(args)
     lam = blocks.extremal_lambda(b)
     count = blocks.c_mu(b, lam).count
-    if args.format == "json":
-        print(json.dumps({"e": b.e, "core": render_partition(b.core),
-                          "weight": b.weight,
-                          "class": render_partition(lam), "count": count}))
-    else:
-        print(render_partition(lam))
-        print(f"count: {count}")
-    return 0
+    return _emit(args, {**fields, "class": render_partition(lam), "count": count},
+                 [render_partition(lam), f"count: {count}"])
 
 
 def _cmd_table(args) -> int:
-    if args.n < 0 or args.n > 30:
-        raise ValueError("table size must be between 0 and 30")
+    if args.n < 0 or args.n > _MAX_N:
+        raise ValueError(f"table size must be between 0 and {_MAX_N}")
     table = {"plain": characters.character_table_text,
              "csv": characters.character_table_csv,
              "json": characters.character_table_json}[args.format](args.n)

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
 from .blocks import blocks_of, count_matrix, extremal_lambda, min_nonzero
 from .characters import chi_bar_coeffs, column
@@ -33,8 +33,11 @@ from .partitions import (
 class SweepReport:
     params: dict
     rows: list = field(default_factory=list)
-    verdict: str = "pass"
     counterexamples: list = field(default_factory=list)
+
+    @property
+    def verdict(self) -> str:
+        return "fail" if self.counterexamples else "pass"
 
     def passed(self) -> bool:
         return self.verdict == "pass"
@@ -65,31 +68,26 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep(task_fn, tasks, jobs: int, params: dict) -> SweepReport:
-    """Run task_fn on every task and join its (rows, counterexamples) results
-    in task order; the verdict is "fail" exactly when a counterexample exists.
+def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
+    """Run task_fn(n) for every int n in ns and join its (rows,
+    counterexamples) results in ascending n.
 
-    Each task is a tuple ending in its n.  A task costs about p(n), so the
-    largest n is dispatched first.  More than one job runs the tasks in a
-    process pool of at most one worker per task.  No task is a usage error."""
+    A task costs about p(n), so the largest n is dispatched first.  More than
+    one job runs the tasks in a process pool of at most one worker per task.
+    No task is a usage error."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if not tasks:
+    ns = sorted(ns, reverse=True)
+    if not ns:
         raise ValueError("nothing to verify: the range is empty")
-    order = sorted(range(len(tasks)), key=lambda i: tasks[i][-1], reverse=True)
-    dispatched = [tasks[i] for i in order]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(ns))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(task_fn, dispatched))
+            done = list(pool.map(task_fn, ns))
     else:
-        done = [task_fn(t) for t in dispatched]
-    report = SweepReport(params=params)
-    for _, (rows, counterexamples) in sorted(zip(order, done), key=lambda r: r[0]):
-        report.rows.extend(rows)
-        report.counterexamples.extend(counterexamples)
-    report.verdict = "fail" if report.counterexamples else "pass"
-    return report
+        done = [task_fn(n) for n in ns]
+    rows, counterexamples = zip(*reversed(done))
+    return SweepReport(params, list(chain(*rows)), list(chain(*counterexamples)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +96,14 @@ def _sweep(task_fn, tasks, jobs: int, params: dict) -> SweepReport:
 # its e's regular classes, remark1 over the others.
 
 
-def _block_rows(format_row, regular: bool, e_values, task):
-    (n,) = task
+def _blocks_at(e_values, n: int) -> dict:
+    """{BlockId: members} for the blocks of S_n of every e, e by e."""
+    return {b: members for e in e_values for b, members in blocks_of(e, n).items()}
+
+
+def _block_rows(format_row, regular: bool, e_values, n: int):
     # blocks_of runs first, so an e below 2 fails with its message.
-    blocks = {b: members for e in e_values for b, members in blocks_of(e, n).items()}
+    blocks = _blocks_at(e_values, n)
     # The e values whose (ir)regular classes include each class.
     es = {lam: {e for e in e_values if is_e_class_regular(lam, e) == regular}
           for lam in partitions_of(n)}
@@ -116,8 +118,8 @@ def _block_rows(format_row, regular: bool, e_values, task):
 def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
                  **params) -> SweepReport:
     e_values = sorted(set(e_values))
-    tasks = [(n,) for n in range(1, n_max + 1)] if e_values else []
-    report = _sweep(partial(_block_rows, format_row, regular, e_values), tasks, jobs,
+    ns = range(1, n_max + 1) if e_values else []
+    report = _sweep(partial(_block_rows, format_row, regular, e_values), ns, jobs,
                     {"e": e_values, "n_max": n_max, **params})
     # Reports list blocks by e, n and rendered core, as text ("10" < "2").
     for rows in (report.rows, report.counterexamples):
@@ -183,9 +185,8 @@ def _exceeds_sqrt_bound(c: int, n: int) -> bool:
     return t <= 0 or t * t < 2 * n
 
 
-def _remark2_rows(bound_max: int, task):
+def _remark2_rows(bound_max: int, n: int):
     # e = 1: the whole character table of S_n is a single block.
-    (n,) = task
     hook = (n - 1, 1)
     classes = partitions_of(n) if n <= bound_max else [hook]
     counts = count_matrix({(): partitions_of(n)}, classes)[()]
@@ -207,8 +208,7 @@ def verify_remark2(n_max: int, bound_max: int | None = None, jobs: int = 1) -> S
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     bound_max = n_max if bound_max is None else bound_max
-    tasks = [(n,) for n in range(3, n_max + 1)]
-    return _sweep(partial(_remark2_rows, bound_max), tasks, jobs,
+    return _sweep(partial(_remark2_rows, bound_max), range(3, n_max + 1), jobs,
                   {"n_max": n_max, "bound_max": bound_max})
 
 
@@ -225,8 +225,7 @@ def _removal_map(p):
             for q, leg in remove_hooks_of_length(p, h)}
 
 
-def _lemma1_rows(task):
-    (m,) = task
+def _lemma1_rows(m: int):
     parts = partitions_of(m)
     checked = 0
     failures = []
@@ -253,16 +252,14 @@ def lemma1_sweep(m_max: int, jobs: int = 1) -> SweepReport:
     """For every pair of distinct partitions of the same size m <= m_max and
     every pair of distinct common single-hook-removal results, check that the
     four leg lengths have odd sum."""
-    tasks = [(m,) for m in range(2, m_max + 1)]
-    return _sweep(_lemma1_rows, tasks, jobs, {"m_max": m_max})
+    return _sweep(_lemma1_rows, range(2, m_max + 1), jobs, {"m_max": m_max})
 
 
 # ---------------------------------------------------------------------------
 # Vanishing of the signed hook-addition combinations
 
 
-def _chibar_rows(task):
-    (n,) = task
+def _chibar_rows(n: int):
     columns = {lam: column(lam) for lam in partitions_of(n)}
     failures = []
     checked = 0
@@ -288,8 +285,7 @@ def _chibar_rows(task):
 def verify_chibar(n_max: int, jobs: int = 1) -> SweepReport:
     """The signed hook-addition combination vanishes on every class with no
     part equal to the hook length."""
-    tasks = [(n,) for n in range(1, n_max + 1)]
-    return _sweep(_chibar_rows, tasks, jobs, {"n_max": n_max})
+    return _sweep(_chibar_rows, range(1, n_max + 1), jobs, {"n_max": n_max})
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +300,14 @@ def _near_hook_set(n: int):
     return out
 
 
-def _rowstructure_rows(task):
-    if task[0] == "near_hooks":
-        n = task[1]
-        ok = set(column((n - 1, 1))) == _near_hook_set(n)
-        return ([{"check": "near_hooks", "n": n, "ok": ok}],
-                [] if ok else [{"check": "near_hooks", "n": n}])
-    _, e, n = task
-    blocks = {b: members for b, members in blocks_of(e, n).items() if b.core}
-    # Blocks of one n often share their extremal class: one column per class.
-    columns = {lam: column(lam) for lam in {extremal_lambda(b) for b in blocks}}
+def _rowstructure_rows(e_values, n: int):
     rows = []
+    if n >= 2:
+        ok = set(column((n - 1, 1))) == _near_hook_set(n)
+        rows.append({"check": "near_hooks", "n": n, "ok": ok})
+    blocks = {b: members for b, members in _blocks_at(e_values, n).items() if b.core}
+    # Blocks often share their extremal class, also across e: one column per class.
+    columns = {lam: column(lam) for lam in {extremal_lambda(b) for b in blocks}}
     for b, members in blocks.items():
         lam = extremal_lambda(b)
         col = columns[lam]
@@ -324,7 +317,7 @@ def _rowstructure_rows(task):
         dom_ok = all(dominance_leq(lam, diagonal_hooks(nu)) for nu in members if nu in col)
         rows.append({
             "check": "block",
-            "e": e,
+            "e": b.e,
             "n": n,
             "core": render_partition(b.core),
             "w": b.weight,
@@ -332,7 +325,8 @@ def _rowstructure_rows(task):
             "dominance_ok": dom_ok,
             "ok": ext_ok and dom_ok,
         })
-    return rows, [r for r in rows if not r["ok"]]
+    return rows, [r if r["check"] == "block" else {"check": "near_hooks", "n": n}
+                  for r in rows if not r["ok"]]
 
 
 def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5),
@@ -344,8 +338,14 @@ def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5),
         row/column extension of the core has non-zero value;
     (c) non-vanishing on the constructed class forces dominance below the
         diagonal-hook partition.
+
+    One task per n checks (a), then (b) and (c) on the blocks of every e.
+    Rows list (a) by n, then (b) and (c) by e and n in blocks_of order.
     """
     e_values = sorted(set(e_values))
-    tasks = [("near_hooks", n) for n in range(2, n_max + 1)]
-    tasks += [("block", e, n) for e in e_values for n in range(1, n_max + 1)]
-    return _sweep(_rowstructure_rows, tasks, jobs, {"n_max": n_max, "e": e_values})
+    ns = range(1 if e_values else 2, n_max + 1)  # n = 1 has only blocks to check
+    report = _sweep(partial(_rowstructure_rows, e_values), ns, jobs,
+                    {"n_max": n_max, "e": e_values})
+    for rows in (report.rows, report.counterexamples):
+        rows.sort(key=lambda r: (r["check"] == "block", r.get("e", 0), r["n"]))
+    return report

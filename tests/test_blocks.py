@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from charblocks.blocks import (
@@ -279,13 +281,29 @@ class TestSweeps:
         verify_chibar(1, jobs=64)
         assert started == [3]  # a single task runs in-process
 
-    @pytest.mark.parametrize("sweep", [verify_theorem1, verify_dichotomy, verify_remark1])
-    def test_block_sweeps_one_task_per_n(self, fake_pool, sweep):
-        report = sweep([2, 3, 4], 5, jobs=2)
-        assert fake_pool["tasks"] == [(5,), (4,), (3,), (2,), (1,)]
-        assert report.to_json(meta=False) == sweep([2, 3, 4], 5).to_json(meta=False)
-        keys = [(r["e"], r["n"], r["core"]) for r in report.rows]
-        assert keys == sorted(keys) and {e for e, _, _ in keys} == {2, 3, 4}
+    # Every sweep, not only the block sweeps: each task is one int n (or m),
+    # covering every e, dispatched largest first.
+    @pytest.mark.parametrize(
+        "sweep,tasks",
+        [
+            (partial(verify_theorem1, [2, 3, 4], 5), [5, 4, 3, 2, 1]),
+            (partial(verify_dichotomy, [2, 3, 4], 5), [5, 4, 3, 2, 1]),
+            (partial(verify_remark1, [2, 3, 4], 5), [5, 4, 3, 2, 1]),
+            (partial(verify_chibar, 5), [5, 4, 3, 2, 1]),
+            (partial(nonvanishing_row_structure_check, 5, [2, 3, 4]), [5, 4, 3, 2, 1]),
+            (partial(lemma1_sweep, 5), [5, 4, 3, 2]),
+            (partial(verify_remark2, 5), [5, 4, 3]),
+        ],
+        ids=["verify_theorem1", "verify_dichotomy", "verify_remark1", "verify_chibar",
+             "nonvanishing_row_structure_check", "lemma1_sweep", "verify_remark2"],
+    )
+    def test_block_sweeps_one_task_per_n(self, fake_pool, sweep, tasks):
+        report = sweep(jobs=2)
+        assert fake_pool["tasks"] == tasks
+        assert report.to_json(meta=False) == sweep().to_json(meta=False)
+        if "core" in report.rows[0]:  # the block sweeps list rows by (e, n, core)
+            keys = [(r["e"], r["n"], r["core"]) for r in report.rows]
+            assert keys == sorted(keys) and {e for e, _, _ in keys} == {2, 3, 4}
 
     @pytest.mark.parametrize(
         "sweep",

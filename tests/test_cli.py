@@ -97,6 +97,33 @@ class TestBlockAndExtremal:
         assert out == "3,1\ncount: 3\n"
 
 
+class TestSizeLimit:
+    """count, block and extremal enumerate the partitions of the block's n,
+    so like table they stop at n = 30."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--e", "2", "--core", "1", "--weight", "15", "--class", "31"],
+            ["block", "--e", "3", "--core", "1", "--weight", "10"],
+            ["extremal", "--e", "2", "--core", "1", "--weight", "15", "--format", "json"],
+        ],
+        ids=["count", "block", "extremal"],
+    )
+    def test_n_31_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: block size must be at most 30, got n = 31\n"
+
+    def test_n_30_runs(self, capsys):
+        code, out, _ = run(capsys, "extremal", "--e", "2", "--core", "-", "--weight", "15")
+        assert (code, out) == (0, "29,1\ncount: 16\n")
+
+    def test_table_keeps_its_message(self, capsys):
+        code, out, err = run(capsys, "table", "--n", "31")
+        assert (code, out, err) == (2, "", "error: table size must be between 0 and 30\n")
+
+
 class TestTable:
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "4", "--format", "csv")
