@@ -12,7 +12,7 @@ from charblocks.blocks import (
     min_c_over_regular,
     opposite_sign_partner,
 )
-from charblocks.characters import char_value
+from charblocks.characters import char_value, column
 from charblocks.partitions import (
     add_hooks_of_length,
     e_core,
@@ -281,8 +281,8 @@ class TestSweeps:
         verify_chibar(1, jobs=64)
         assert started == [3]  # a single task runs in-process
 
-    # Every sweep, not only the block sweeps: each task is one int n (or m),
-    # covering every e, dispatched largest first.
+    # Every sweep hands the pool one int per n (per m for lemma1), covering
+    # every e, largest first.
     @pytest.mark.parametrize(
         "sweep,tasks",
         [
@@ -304,6 +304,17 @@ class TestSweeps:
         if "core" in report.rows[0]:  # the block sweeps list rows by (e, n, core)
             keys = [(r["e"], r["n"], r["core"]) for r in report.rows]
             assert keys == sorted(keys) and {e for e, _, _ in keys} == {2, 3, 4}
+
+    def test_rowstructure_one_column_per_extremal_class_per_n(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(sweeps, "column",
+                            lambda lam: built.append(lam) or column(lam))
+        nonvanishing_row_structure_check(12, [2, 3, 4, 5])
+        expected = 0
+        for n in range(1, 13):
+            ext = {extremal_lambda(b) for e in (2, 3, 4, 5) for b in blocks_of(e, n) if b.core}
+            expected += len(ext) + (n >= 2)  # and the near-hook column (n-1, 1)
+        assert len(built) == expected
 
     @pytest.mark.parametrize(
         "sweep",
