@@ -138,9 +138,16 @@ class TestChiBar:
             chi_bar_coeffs((1,), 2, 2)
 
     def test_value_examples(self):
-        assert chi_bar_value((), 2, (1, 1)) == 0
-        assert chi_bar_value((), 2, (2,)) == 2
-        assert chi_bar_value((2, 1), 4, (2, 2, 2, 1)) == 0
+        # The value of a combination on a class is its coefficients read
+        # against the class's column, as the chibar sweep computes it.
+        def value(phi, length, lam):
+            col = column(lam)
+            return sum(c * col.get(beta, 0)
+                       for beta, c in chi_bar_coeffs(phi, length, sum(lam)).items())
+
+        assert value((), 2, (1, 1)) == 0
+        assert value((), 2, (2,)) == 2
+        assert value((2, 1), 4, (2, 2, 2, 1)) == 0
 
     def test_vanishing_without_matching_part(self):
         for n in range(1, 8):

@@ -1,6 +1,7 @@
 import pytest
 
 from charblocks.partitions import (
+    _decode,
     add_hooks_of_length,
     beta_set,
     conjugate,
@@ -8,14 +9,11 @@ from charblocks.partitions import (
     dominance_leq,
     e_core,
     e_weight,
-    hook_length,
     hook_lengths,
     is_e_class_regular,
     is_e_core,
     parse_partition,
-    partition_from_beta_set,
     partitions_of,
-    remove_hook,
     remove_hooks_of_length,
     render_partition,
 )
@@ -67,10 +65,9 @@ class TestConjugateHooks:
                 assert conjugate(conjugate(p)) == p
 
     def test_hook_length_examples(self):
-        assert hook_length((4, 2, 1, 1), 1, 1) == 7
-        assert hook_length((1,), 1, 1) == 1
-        with pytest.raises(ValueError):
-            hook_length((2, 1), 1, 3)
+        assert hook_lengths((4, 2, 1, 1))[(1, 1)] == 7
+        assert hook_lengths((1,)) == {(1, 1): 1}
+        assert (1, 3) not in hook_lengths((2, 1))
 
     def test_hook_multiset_6_4_2(self):
         hooks = sorted(hook_lengths((6, 4, 2)).values())
@@ -81,19 +78,20 @@ class TestConjugateHooks:
         # brute force: arm = cells right of (i,j), leg = cells below
         for n in range(1, 9):
             for p in partitions_of(n):
+                brute = {}
                 for i in range(1, len(p) + 1):
                     for j in range(1, p[i - 1] + 1):
                         arm = p[i - 1] - j
                         leg = sum(1 for a in range(i, len(p)) if p[a] >= j)
-                        assert hook_length(p, i, j) == arm + leg + 1
+                        brute[(i, j)] = arm + leg + 1
+                assert hook_lengths(p) == brute
 
     def test_hook_conjugation_symmetry(self):
         for n in range(1, 9):
             for p in partitions_of(n):
-                q = conjugate(p)
-                for i in range(1, len(p) + 1):
-                    for j in range(1, p[i - 1] + 1):
-                        assert hook_length(p, i, j) == hook_length(q, j, i)
+                transposed = hook_lengths(conjugate(p))
+                for (i, j), h in hook_lengths(p).items():
+                    assert transposed[(j, i)] == h
 
 
 class TestDiagonalHooks:
@@ -115,9 +113,9 @@ class TestBetaSets:
         assert beta_set((3, 1), 2) == frozenset({4, 1})
         assert beta_set((), 4) == frozenset({3, 2, 1, 0})
         assert beta_set((2, 1), 3) == frozenset({4, 2, 0})
-        assert partition_from_beta_set({4, 1}) == (3, 1)
-        assert partition_from_beta_set({2, 1, 0}) == ()
-        assert partition_from_beta_set({8, 2, 0}) == (6, 1)
+        assert _decode([4, 1]) == (3, 1)
+        assert _decode([2, 1, 0]) == ()
+        assert _decode([8, 2, 0]) == (6, 1)
 
     def test_bead_count_too_small(self):
         with pytest.raises(ValueError):
@@ -127,29 +125,29 @@ class TestBetaSets:
         for n in range(9):
             for p in partitions_of(n):
                 for b in range(len(p), len(p) + 5):
-                    assert partition_from_beta_set(beta_set(p, b)) == p
+                    assert _decode(sorted(beta_set(p, b), reverse=True)) == p
 
 
 class TestHookRemoval:
     def test_examples(self):
-        assert remove_hook((2, 2), 1, 1) == ((1,), 1)
-        assert remove_hook((5,), 1, 1) == ((), 0)
-        assert remove_hook((3, 1), 1, 2) == ((1, 1), 0)
+        assert remove_hooks_of_length((2, 2), 3) == [((1,), 1)]
+        assert remove_hooks_of_length((5,), 5) == [((), 0)]
+        assert remove_hooks_of_length((3, 1), 2) == [((1, 1), 0)]
 
     def test_against_rim_walk(self):
+        # The rim hook of every cell is among the removals of its length.
         for n in range(1, 10):
             for p in partitions_of(n):
-                for i in range(1, len(p) + 1):
-                    for j in range(1, p[i - 1] + 1):
-                        assert remove_hook(p, i, j) == rim_walk_remove(p, i, j)
+                for (i, j), h in hook_lengths(p).items():
+                    assert rim_walk_remove(p, i, j) in remove_hooks_of_length(p, h)
 
     def test_size_drop(self):
-        for n in range(1, 9):
+        for n in range(1, 10):
             for p in partitions_of(n):
-                for i in range(1, len(p) + 1):
-                    for j in range(1, p[i - 1] + 1):
-                        q, _ = remove_hook(p, i, j)
-                        assert sum(q) == n - hook_length(p, i, j)
+                for h in set(hook_lengths(p).values()):
+                    removals = remove_hooks_of_length(p, h)
+                    assert removals
+                    assert all(sum(q) == n - h for q, _ in removals)
 
 
 class TestHookAddition:
