@@ -8,13 +8,10 @@ from .partitions import (
     dominance_leq,
     e_core,
     e_weight,
-    hook_length,
     is_e_class_regular,
     is_e_core,
     parse_partition,
-    partition_from_beta_set,
     partitions_of,
-    remove_hook,
     render_partition,
 )
 from .characters import (
@@ -24,7 +21,6 @@ from .characters import (
     char_value,
     character_table,
     chi_bar_coeffs,
-    chi_bar_value,
 )
 from .blocks import (
     BlockId,

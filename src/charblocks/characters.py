@@ -143,11 +143,3 @@ def chi_bar_coeffs(phi, length: int, n: int) -> dict:
     if sum(phi) + length != n:
         raise ValueError(f"|phi| + length = {sum(phi) + length} != n = {n}")
     return {beta: (-1) ** leg for beta, leg in add_hooks_of_length(phi, length)}
-
-
-def chi_bar_value(phi, length: int, lam) -> int:
-    """Value on lam of the signed hook-addition combination built on phi."""
-    lam = check_partition(sorted(lam, reverse=True))
-    coeffs = chi_bar_coeffs(phi, length, sum(lam))
-    col = column(lam)
-    return sum(c * col.get(beta, 0) for beta, c in coeffs.items())

@@ -21,13 +21,14 @@ from .partitions import (
 
 def _parse_e_range(text: str):
     """'3' or 'a..b' (inclusive) -> sorted list of ints."""
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise ValueError(f"--e takes an integer or a range a..b, got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("sweep", choices=list(_SWEEPS))
-    p.add_argument("--e", default="2..5", help="e value or inclusive range a..b")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--max-size", type=int, default=8, help="size bound for lemma1")
+    p.add_argument("--e", default=argparse.SUPPRESS, help="e value or inclusive range a..b")
+    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-size", type=int, default=argparse.SUPPRESS,
+                   help="size bound for lemma1")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.add_argument("--no-meta", action="store_true", help="omit timestamp from JSON")
@@ -146,20 +148,29 @@ def _cmd_table(args) -> int:
     return 0
 
 
-# Each verify sweep as a function of the parsed arguments and the e values.
+# Defaults of the verify options that a sweep may read.  Each sweep names the
+# ones it reads and runs on the parsed arguments and the e values.
+_SWEEP_OPTIONS = {"e": "2..5", "max_n": 10, "max_size": 8}
 _SWEEPS = {
-    "theorem1": lambda a, e: sweeps.verify_theorem1(e, a.max_n, a.jobs),
-    "dichotomy": lambda a, e: sweeps.verify_dichotomy(e, a.max_n, a.jobs),
-    "lemma1": lambda a, e: sweeps.lemma1_sweep(a.max_size, a.jobs),
-    "remark1": lambda a, e: sweeps.verify_remark1(e, a.max_n, a.jobs),
-    "remark2": lambda a, e: sweeps.verify_remark2(a.max_n, jobs=a.jobs),
-    "chibar": lambda a, e: sweeps.verify_chibar(a.max_n, a.jobs),
-    "rowstructure": lambda a, e: sweeps.nonvanishing_row_structure_check(a.max_n, e, a.jobs),
+    "theorem1": (("e", "max_n"), lambda a, e: sweeps.verify_theorem1(e, a.max_n, a.jobs)),
+    "dichotomy": (("e", "max_n"), lambda a, e: sweeps.verify_dichotomy(e, a.max_n, a.jobs)),
+    "lemma1": (("max_size",), lambda a, e: sweeps.lemma1_sweep(a.max_size, a.jobs)),
+    "remark1": (("e", "max_n"), lambda a, e: sweeps.verify_remark1(e, a.max_n, a.jobs)),
+    "remark2": (("max_n",), lambda a, e: sweeps.verify_remark2(a.max_n, jobs=a.jobs)),
+    "chibar": (("max_n",), lambda a, e: sweeps.verify_chibar(a.max_n, a.jobs)),
+    "rowstructure": (("e", "max_n"), lambda a, e:
+                     sweeps.nonvanishing_row_structure_check(a.max_n, e, a.jobs)),
 }
 
 
 def _cmd_verify(args) -> int:
-    report = _SWEEPS[args.sweep](args, _parse_e_range(args.e))
+    reads, run = _SWEEPS[args.sweep]
+    for name, default in _SWEEP_OPTIONS.items():
+        if name in reads:
+            vars(args).setdefault(name, default)
+        elif name in vars(args):
+            raise ValueError(f"verify {args.sweep} does not read --{name.replace('_', '-')}")
+    report = run(args, _parse_e_range(args.e) if "e" in reads else None)
     if args.format == "json":
         print(report.to_json(meta=not args.no_meta))
     else:

@@ -85,14 +85,6 @@ def conjugate(p):
     return tuple(cols)
 
 
-def hook_length(p, i: int, j: int) -> int:
-    """Hook length of cell (i, j), 1-based."""
-    if i < 1 or i > len(p) or j < 1 or j > p[i - 1]:
-        raise ValueError(f"cell ({i},{j}) outside the diagram of {p}")
-    conj = conjugate(p)
-    return (p[i - 1] - j) + (conj[j - 1] - i) + 1
-
-
 def hook_lengths(p):
     """All hook lengths as a dict {(i, j): length}."""
     conj = conjugate(p)
@@ -119,14 +111,6 @@ def beta_set(p, bead_count: int) -> frozenset:
     return frozenset(padded[i] + bead_count - 1 - i for i in range(bead_count))
 
 
-def partition_from_beta_set(beads) -> tuple:
-    """Decode a beta-set back to a partition (inverse of beta_set)."""
-    bs = sorted(beads, reverse=True)
-    if len(set(bs)) != len(bs) or (bs and bs[-1] < 0):
-        raise ValueError("beta-set must consist of distinct non-negative integers")
-    return _decode(bs)
-
-
 def _decode(bs) -> tuple:
     """Partition of a beta-set given as distinct non-negative ints in descending order."""
     m = len(bs)
@@ -149,17 +133,6 @@ def _slide_beads(beads, step: int):
             out.append((_decode(moved), abs(moved.index(y) - i)))
     out.sort(key=lambda t: t[0], reverse=True)
     return out
-
-
-def remove_hook(p, i: int, j: int):
-    """Remove the rim hook of cell (i, j); returns (smaller partition, leg length).
-
-    The hook's top row is i, so among the removals of its length it is the
-    one that first changes p in row i.
-    """
-    h = hook_length(p, i, j)
-    return next((q, leg) for q, leg in remove_hooks_of_length(p, h)
-                if q[:i - 1] == p[:i - 1] and q[:i] != p[:i])
 
 
 def remove_hooks_of_length(p, length: int):

@@ -17,7 +17,6 @@ from charblocks import (
     char_degree,
     char_value,
     chi_bar_coeffs,
-    chi_bar_value,
     count_matrix,
     opposite_sign_partner,
 )
@@ -32,7 +31,6 @@ LABEL_ENTRIES = [
     ("CharEngine.char_value", lambda p: CharEngine().char_value(p, (2, 1))),
     ("char_degree", char_degree),
     ("chi_bar_coeffs", lambda p: chi_bar_coeffs(p, 1, 4)),
-    ("chi_bar_value", lambda p: chi_bar_value(p, 1, (2, 1, 1))),
     ("opposite_sign_partner.psi",
      lambda p: opposite_sign_partner(p, (1,), BlockId(e=2, core=(1,), weight=1), (3,))),
     ("opposite_sign_partner.phi",
@@ -45,7 +43,6 @@ CLASS_ENTRIES = [
     ("char_value", lambda p: char_value((2, 1), p)),
     ("CharEngine.char_value", lambda p: CharEngine().char_value((2, 1), p)),
     ("centralizer_order", centralizer_order),
-    ("chi_bar_value", lambda p: chi_bar_value((), 3, p)),
     ("c_mu", lambda p: c_mu(BlockId(e=2, core=(1,), weight=1), p)),
     ("opposite_sign_partner.lam",
      lambda p: opposite_sign_partner((3,), (1,), BlockId(e=2, core=(1,), weight=1), p)),

@@ -10,7 +10,6 @@ from charblocks.characters import (
     character_table_csv,
     character_table_json,
     chi_bar_coeffs,
-    chi_bar_value,
     column,
 )
 from charblocks.partitions import partitions_of, render_partition
@@ -148,11 +147,3 @@ class TestChiBar:
         assert value((), 2, (1, 1)) == 0
         assert value((), 2, (2,)) == 2
         assert value((2, 1), 4, (2, 2, 2, 1)) == 0
-
-    def test_vanishing_without_matching_part(self):
-        for n in range(1, 8):
-            for length in range(1, n + 1):
-                for phi in partitions_of(n - length):
-                    for lam in partitions_of(n):
-                        if length not in lam:
-                            assert chi_bar_value(phi, length, lam) == 0

@@ -200,6 +200,23 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "remark2", "--max-n", "2")
         assert (code, out, err) == (2, "", "error: n_max must be >= 3\n")
 
+    @pytest.mark.parametrize("sweep,option", [
+        *[(sweep, "--e") for sweep in ("lemma1", "remark2", "chibar")],
+        ("lemma1", "--max-n"),
+        *[(sweep, "--max-size") for sweep in ("theorem1", "dichotomy", "remark1",
+                                              "remark2", "chibar", "rowstructure")],
+    ])
+    def test_option_the_sweep_ignores_exit_2(self, capsys, sweep, option):
+        code, out, err = run(capsys, "verify", sweep, option, "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {sweep} does not read {option}\n"
+
+    @pytest.mark.parametrize("e", ["2..", "a", "2,3"])
+    def test_malformed_e_exit_2(self, capsys, e):
+        code, out, err = run(capsys, "verify", "theorem1", "--e", e, "--max-n", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: --e takes an integer or a range a..b, got {e!r}\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         code, out, err = run(capsys, "verify", "theorem1", "--max-n", "3", "--jobs", jobs)

@@ -20,15 +20,16 @@ from charblocks import cli
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 
-_SWEEP = ("--e", "2..5", "--max-n", "8", "--format", "json", "--no-meta")
+_SWEEP = ("--max-n", "8", "--format", "json", "--no-meta")
+_E_SWEEP = ("--e", "2..5", *_SWEEP)
 _BLOCK_PLAIN = ("--e", "4", "--core", "2,1", "--weight", "1")
 _BLOCK = (*_BLOCK_PLAIN, "--format", "json")
 
 CASES = {
-    "verify-theorem1": ("verify", "theorem1", *_SWEEP),
-    "verify-dichotomy": ("verify", "dichotomy", *_SWEEP),
-    "verify-remark1": ("verify", "remark1", *_SWEEP),
-    "verify-rowstructure": ("verify", "rowstructure", *_SWEEP),
+    "verify-theorem1": ("verify", "theorem1", *_E_SWEEP),
+    "verify-dichotomy": ("verify", "dichotomy", *_E_SWEEP),
+    "verify-remark1": ("verify", "remark1", *_E_SWEEP),
+    "verify-rowstructure": ("verify", "rowstructure", *_E_SWEEP),
     "verify-chibar": ("verify", "chibar", *_SWEEP),
     "verify-remark2": ("verify", "remark2", *_SWEEP),
     "verify-lemma1": ("verify", "lemma1", "--max-size", "7", "--format", "json",

@@ -13,7 +13,6 @@ from charblocks.partitions import (
     add_hooks_of_length,
     e_core,
     partitions_of,
-    remove_hook,
     remove_hooks_of_length,
 )
 
@@ -21,7 +20,6 @@ from oracles import (
     brute_force_additions,
     greedy_core,
     mn_ascending,
-    rim_walk_remove,
     rim_walk_removals_of_length,
 )
 
@@ -47,14 +45,6 @@ def partitions(max_size):
 @given(partitions(16), st.integers(1, 17))
 def test_removals_match_rim_walk(p, length):
     assert remove_hooks_of_length(p, length) == rim_walk_removals_of_length(p, length)
-
-
-@oracle
-@given(partitions(16).filter(bool), st.data())
-def test_remove_hook_matches_rim_walk(p, data):
-    i = data.draw(st.integers(1, len(p)))
-    j = data.draw(st.integers(1, p[i - 1]))
-    assert remove_hook(p, i, j) == rim_walk_remove(p, i, j)
 
 
 @oracle
