@@ -148,8 +148,8 @@ def _cmd_table(args) -> int:
     return 0
 
 
-# Defaults of the verify options that a sweep may read.  Each sweep names the
-# ones it reads and runs on the parsed arguments and the e values.
+# The verify options a sweep may read, with their defaults.  They stay unset
+# unless given, so that each sweep, which names the ones it reads, refuses the rest.
 _SWEEP_OPTIONS = {"e": "2..5", "max_n": 10, "max_size": 8}
 _SWEEPS = {
     "theorem1": (("e", "max_n"), lambda a, e: sweeps.verify_theorem1(e, a.max_n, a.jobs)),
