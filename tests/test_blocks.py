@@ -14,7 +14,6 @@ from charblocks.blocks import (
 )
 from charblocks.characters import char_value, column
 from charblocks.partitions import (
-    add_hooks_of_length,
     e_core,
     is_e_class_regular,
     partitions_of,

@@ -1,4 +1,5 @@
 import json
+from math import factorial
 
 import pytest
 
@@ -80,8 +81,6 @@ class TestDegreesAndOrthogonality:
         assert centralizer_order((2, 1, 1)) == 4
 
     def test_centralizer_sums_to_group_order(self):
-        from math import factorial
-
         for n in range(1, 9):
             assert sum(
                 factorial(n) // centralizer_order(lam) for lam in partitions_of(n)
@@ -94,6 +93,26 @@ class TestDegreesAndOrthogonality:
                 for rho in ps:
                     s = sum(char_value(nu, lam) * char_value(nu, rho) for nu in ps)
                     assert s == (centralizer_order(lam) if lam == rho else 0)
+
+    def test_table_12_orthogonality_and_identity_columns(self):
+        n = 12
+        ps = partitions_of(n)
+        table = character_table(n)
+        z = [centralizer_order(lam) for lam in ps]
+        cols = list(zip(*table))
+        for i, a in enumerate(cols):
+            for j, b in enumerate(cols):
+                s = sum(x * y for x, y in zip(a, b))
+                assert s == (z[i] if i == j else 0)
+        order = factorial(n)
+        weights = [order // zl for zl in z]
+        for i, a in enumerate(table):
+            for j, b in enumerate(table):
+                s = sum(w * x * y for w, x, y in zip(weights, a, b))
+                assert s == (order if i == j else 0)
+        for m in range(1, 15):
+            identity = column((1,) * m)
+            assert identity == {nu: char_degree(nu) for nu in partitions_of(m)}
 
 
 class TestCharacterTable:
