@@ -2,7 +2,6 @@
 
 from .partitions import (
     add_hooks_of_length,
-    beta_set,
     conjugate,
     diagonal_hooks,
     dominance_leq,

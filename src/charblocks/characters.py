@@ -1,11 +1,13 @@
 """Exact symmetric-group character values by the Murnaghan-Nakayama rule.
 
 Values are plain Python ints, so they are exact at any size.  One loop,
-_mn_sum, carries a {partition: coefficient} map through the signed rim-hook
-moves of one class part at a time, with no memo and no recursion.  column(lam)
-adds hooks to the empty partition, smallest part first: the Schur expansion
-of p_lam (Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 11 and
-I.7), whose coefficients are the column chi^.(lam).  It is unchecked, for
+_mn_sum, carries a {bead mask: coefficient} map through the signed rim-hook
+moves of one class part at a time, with no memo and no recursion; bit x of a
+mask is a bead at abacus position x (partitions._beads), and masks are
+decoded only at the end.  column(lam) adds hooks to the empty partition on
+n = |lam| beads, smallest part first: the Schur expansion of p_lam
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 11 and I.7),
+whose coefficients are the column chi^.(lam).  It is unchecked, for
 partitions the library built; public functions check arguments once, on entry.
 """
 
@@ -17,23 +19,26 @@ import json
 from math import factorial
 
 from .partitions import (
+    _beads,
+    _moves,
+    _parts,
     check_partition,
     hook_lengths,
     add_hooks_of_length,
-    remove_hooks_of_length,
     partitions_of,
     render_partition,
 )
 
 
-def _mn_sum(states: dict, parts, moves) -> dict:
-    """Carry {partition: coefficient} through moves(p, t) -> [(q, leg)] for
-    each part t in turn, signed by (-1)^leg; zero coefficients are dropped."""
+def _mn_sum(states: dict, parts, add: bool) -> dict:
+    """Carry {bead mask: coefficient} through the moves of one bead by each
+    part t in turn (up if add, else down), signed by (-1)^leg; zero
+    coefficients are dropped."""
     for t in parts:
         nxt = {}
-        for p, c in states.items():
-            for q, leg in moves(p, t):
-                nxt[q] = nxt.get(q, 0) + (-c if leg % 2 else c)
+        for m, c in states.items():
+            for q, leg in _moves(m, t, add):
+                nxt[q] = nxt.get(q, 0) + (-c if leg & 1 else c)
         states = {q: c for q, c in nxt.items() if c}
     return states
 
@@ -41,7 +46,8 @@ def _mn_sum(states: dict, parts, moves) -> dict:
 def column(lam) -> dict:
     """{nu: chi^nu(lam)} over the characters non-zero on the class lam, a
     partition tuple in descending order (unchecked)."""
-    return _mn_sum({(): 1}, reversed(lam), add_hooks_of_length)
+    states = _mn_sum({(1 << sum(lam)) - 1: 1}, reversed(lam), True)
+    return {_parts(m): c for m, c in states.items()}
 
 
 class CharEngine:
@@ -56,7 +62,8 @@ class CharEngine:
         lam = check_partition(sorted(lam, reverse=True))
         if sum(nu) != sum(lam):
             raise ValueError(f"|nu|={sum(nu)} but |lambda|={sum(lam)}")
-        return _mn_sum({nu: 1}, lam, remove_hooks_of_length).get((), 0)
+        empty = (1 << len(nu)) - 1
+        return _mn_sum({_beads(nu, len(nu)): 1}, lam, False).get(empty, 0)
 
     def cache_size(self) -> int:
         return 0

@@ -1,4 +1,4 @@
-"""Integer partitions, Young-diagram hooks, beta-sets and e-cores.
+"""Integer partitions, Young-diagram hooks, abacus bead masks and e-cores.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the unique partition of 0.  All indices in the hook API are 1-based
@@ -103,35 +103,43 @@ def diagonal_hooks(p):
     return tuple(p[k] + conj[k] - 2 * k - 1 for k in range(len(p)) if p[k] > k)
 
 
-def beta_set(p, bead_count: int) -> frozenset:
-    """Beta-set {p_i + bead_count - i : 1 <= i <= bead_count} (p_i = 0 past the end)."""
-    if bead_count < len(p):
-        raise ValueError(f"bead_count {bead_count} < number of parts {len(p)}")
-    padded = list(p) + [0] * (bead_count - len(p))
-    return frozenset(padded[i] + bead_count - 1 - i for i in range(bead_count))
+def _beads(p, count: int) -> int:
+    """Bead mask of p on count >= len(p) beads (James-Kerber, The Representation
+    Theory of the Symmetric Group, 2.7): bit p_i + count - i is set for
+    1 <= i <= count, with p_i = 0 past the last part."""
+    mask = (1 << (count - len(p))) - 1
+    for i, x in enumerate(p):
+        mask |= 1 << (x + count - 1 - i)
+    return mask
 
 
-def _decode(bs) -> tuple:
-    """Partition of a beta-set given as distinct non-negative ints in descending order."""
-    m = len(bs)
-    parts = [bs[i] - (m - 1 - i) for i in range(m)]
-    return tuple(x for x in parts if x > 0)
-
-
-def _slide_beads(beads, step: int):
-    """Every move of one bead of the set beads by step to a free non-negative
-    position, as (partition, leg) pairs in descending partition order.  The
-    leg is the number of beads the moving bead passes: how far its place in
-    the sorted bead list shifts."""
-    bs = sorted(beads, reverse=True)
+def _parts(mask) -> tuple:
+    """The partition of a bead mask, largest part first: a bead's part is its
+    position minus the number of beads below it.  On a fixed number of beads
+    the larger mask is the lexicographically larger partition."""
     out = []
-    for i, x in enumerate(bs):
-        y = x + step
-        if y >= 0 and y not in beads:
-            moved = bs[:i] + bs[i + 1:] + [y]
-            moved.sort(reverse=True)
-            out.append((_decode(moved), abs(moved.index(y) - i)))
-    out.sort(key=lambda t: t[0], reverse=True)
+    below = mask.bit_count()
+    while mask:
+        x = mask.bit_length() - 1
+        below -= 1
+        if x == below:
+            break  # the beads left fill 0..x: every part from here on is 0
+        out.append(x - below)
+        mask ^= 1 << x
+    return tuple(out)
+
+
+def _moves(mask, t: int, add: bool):
+    """Every move of one bead of mask by t, up if add else down, onto a free
+    non-negative position, as (mask, leg) pairs.  The leg is the number of
+    beads the moving bead passes, those strictly between its two ends."""
+    lows = mask & ~(mask >> t) if add else (mask >> t) & ~mask
+    between = (1 << (t - 1)) - 1
+    out = []
+    while lows:
+        low = lows & -lows
+        lows ^= low
+        out.append((mask ^ low ^ (low << t), (mask >> low.bit_length() & between).bit_count()))
     return out
 
 
@@ -142,7 +150,8 @@ def remove_hooks_of_length(p, length: int):
     """
     if length < 1:
         raise ValueError("hook length must be >= 1")
-    return _slide_beads(beta_set(p, len(p)), -length)
+    moves = _moves(_beads(p, len(p)), length, False)
+    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
 
 
 def add_hooks_of_length(p, length: int):
@@ -152,22 +161,23 @@ def add_hooks_of_length(p, length: int):
     """
     if length < 1:
         raise ValueError("hook length must be >= 1")
-    return _slide_beads(beta_set(p, len(p) + length), length)
+    moves = _moves(_beads(p, len(p) + length), length, True)
+    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
 
 
 def e_core(p, e: int):
-    """The e-core: push every abacus bead down its runner as far as it goes."""
+    """The e-core: push every abacus bead down its runner as far as it goes.
+    Only runners below the top bead hold beads, so the cost does not grow with e."""
     if e < 1:
         raise ValueError("e must be >= 1")
-    b = len(p)
-    runners = [[] for _ in range(e)]
-    for x in beta_set(p, b):
-        runners[x % e].append(x)
-    core_beads = []
-    for r in range(e):
-        for k in range(len(runners[r])):
-            core_beads.append(r + k * e)
-    return _decode(sorted(core_beads, reverse=True))
+    mask = _beads(p, len(p))
+    top = mask.bit_length()
+    runner = sum(1 << x for x in range(0, top, e))
+    core = 0
+    for r in range(min(e, top)):
+        k = (mask & (runner << r)).bit_count()
+        core |= (runner << r) & ((1 << (r + k * e)) - 1)
+    return _parts(core)
 
 
 def e_weight(p, e: int) -> int:

@@ -29,6 +29,11 @@ class TestCore:
         assert code == 0
         assert out == "core: 2,1\nweight: 0\n"
 
+    def test_huge_e(self, capsys):
+        code, out, _ = run(capsys, "core", "--e", "1000000000", "3,1")
+        assert code == 0
+        assert out == "core: 3,1\nweight: 0\n"
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "core", "--e", "3", "3,0")
         assert code == 2

@@ -1,9 +1,9 @@
 import pytest
 
 from charblocks.partitions import (
-    _decode,
+    _beads,
+    _parts,
     add_hooks_of_length,
-    beta_set,
     conjugate,
     diagonal_hooks,
     dominance_leq,
@@ -110,22 +110,20 @@ class TestDiagonalHooks:
 
 class TestBetaSets:
     def test_examples(self):
-        assert beta_set((3, 1), 2) == frozenset({4, 1})
-        assert beta_set((), 4) == frozenset({3, 2, 1, 0})
-        assert beta_set((2, 1), 3) == frozenset({4, 2, 0})
-        assert _decode([4, 1]) == (3, 1)
-        assert _decode([2, 1, 0]) == ()
-        assert _decode([8, 2, 0]) == (6, 1)
-
-    def test_bead_count_too_small(self):
-        with pytest.raises(ValueError):
-            beta_set((3, 1), 1)
+        assert _beads((3, 1), 2) == 0b10010
+        assert _beads((), 4) == 0b1111
+        assert _beads((2, 1), 3) == 0b10101
+        assert _parts(0b10010) == (3, 1)
+        assert _parts(0b111) == ()
+        assert _parts(0b100000101) == (6, 1)
 
     def test_round_trip(self):
         for n in range(9):
             for p in partitions_of(n):
                 for b in range(len(p), len(p) + 5):
-                    assert _decode(sorted(beta_set(p, b), reverse=True)) == p
+                    mask = _beads(p, b)
+                    assert mask.bit_count() == b
+                    assert _parts(mask) == p
 
 
 class TestHookRemoval:
@@ -184,10 +182,14 @@ class TestCores:
         assert e_core((10, 2, 1, 1, 1), 3) == (4, 2)
 
     def test_against_greedy_stripping(self):
-        for n in range(11):
+        for n in range(13):
             for p in partitions_of(n):
-                for e in range(2, 7):
+                for e in range(2, 16):
                     assert e_core(p, e) == greedy_core(p, e)
+
+    def test_cost_does_not_grow_with_e(self):
+        assert e_core((3, 1), 10**9) == (3, 1)
+        assert e_weight((3, 1), 10**9) == 0
 
     def test_core_is_fixed_point(self):
         for n in range(9):
