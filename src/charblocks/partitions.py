@@ -114,9 +114,8 @@ def _beads(p, count: int) -> int:
 
 
 def _parts(mask) -> tuple:
-    """The partition of a bead mask, largest part first: a bead's part is its
-    position minus the number of beads below it.  On a fixed number of beads
-    the larger mask is the lexicographically larger partition."""
+    """Partition of a bead mask, largest part first: a bead's part is its position
+    minus the beads below it.  On one bead count, mask order is partition order."""
     out = []
     below = mask.bit_count()
     while mask:
@@ -139,7 +138,8 @@ def _moves(mask, t: int, add: bool):
     while lows:
         low = lows & -lows
         lows ^= low
-        out.append((mask ^ low ^ (low << t), (mask >> low.bit_length() & between).bit_count()))
+        leg = (mask >> low.bit_length() & between).bit_count()
+        out.append((mask ^ low ^ (low << t), leg))
     return out
 
 
