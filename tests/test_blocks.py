@@ -8,6 +8,7 @@ from charblocks.blocks import (
     blocks_of,
     c_mu,
     core_groups,
+    count_matrix,
     extremal_lambda,
     min_c_over_regular,
     opposite_sign_partner,
@@ -131,6 +132,21 @@ class TestCount:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             c_mu(BlockId(e=2, core=(), weight=2), (3,))
+
+    @pytest.mark.parametrize("regular", [True, False])
+    def test_count_matrix_counts_members_in_column(self, regular):
+        # Every e from 2 to n: each count is the block's members in the column.
+        for n in range(2, 11):
+            for e in range(2, n + 1):
+                blocks = blocks_of(e, n)
+                classes = [lam for lam in partitions_of(n)
+                           if is_e_class_regular(lam, e) == regular]
+                counts = count_matrix(blocks, classes)
+                assert list(counts) == list(blocks)
+                for b, members in blocks.items():
+                    assert counts[b] == {
+                        lam: sum(1 for nu in members if nu in column(lam))
+                        for lam in classes}
 
 
 class TestExtremal:

@@ -52,6 +52,9 @@ CASES = {
                     "--class", "3,1"),
     "block-plain": ("block", *_BLOCK_PLAIN),
     "extremal-plain": ("extremal", "--e", "2", "--core", "-", "--weight", "2"),
+    # Wide e ranges, where most e exceed most n and each e has its own classes.
+    "verify-remark1-wide": ("verify", "remark1", "--e", "6..9", "--max-n", "10"),
+    "verify-theorem1-wide": ("verify", "theorem1", "--e", "6..12", "--max-n", "10"),
 }
 
 
