@@ -27,7 +27,6 @@ from .blocks import (
     block_partitions,
     blocks_of,
     c_mu,
-    core_groups,
     count_matrix,
     extremal_lambda,
     min_c_over_regular,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import chi_bar_coeffs, column
+from .characters import _column, chi_bar_coeffs, column
 from .partitions import (
+    _beads,
     check_partition,
     diagonal_hooks,
     e_core,
@@ -54,18 +55,9 @@ class CountReport:
     witnesses: list = field(default_factory=list)
 
 
-def core_groups(e: int, n: int) -> dict:
-    """Partitions of n grouped by e-core: {core: members}, each member list in
-    partitions_of order.  One e_core call per partition."""
-    groups = {}
-    for nu in partitions_of(n):
-        groups.setdefault(e_core(nu, e), []).append(nu)
-    return groups
-
-
 def block_partitions(b: BlockId):
     """All partitions of b.n with the block's e-core, in enumeration order."""
-    return core_groups(b.e, b.n)[b.core]
+    return [nu for nu in partitions_of(b.n) if e_core(nu, b.e) == b.core]
 
 
 def c_mu(b: BlockId, lam) -> CountReport:
@@ -78,27 +70,31 @@ def c_mu(b: BlockId, lam) -> CountReport:
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
 
 
-def count_matrix(groups: dict, classes) -> dict:
-    """Blocks x classes non-zero counts: {key: {class: count}} for the member
-    lists in groups (as from blocks_of or core_groups), keys and classes kept
-    in the given order.
+def count_matrix(e_values, n: int, regular: bool = True) -> dict:
+    """Blocks x classes non-zero counts of S_n, {BlockId: {class: count}}: the
+    blocks of each e in turn, in blocks_of order, each over its e's
+    e-class-regular classes (the other classes if not regular), in
+    partitions_of order.
 
-    Each member and each class is checked once.  Each class's character
-    column is built once, and a count is the number of members found in it.
+    A character's block is the one its bead mask on n beads belongs to, so a
+    class's column is built once, as masks, for every e that counts it.
     """
-    groups = {core: [check_partition(nu) for nu in members]
-              for core, members in groups.items()}
-    classes = {lam: check_partition(sorted(lam, reverse=True)) for lam in classes}
-    sizes = {sum(nu) for members in groups.values() for nu in members}
-    for lam in classes.values():
-        if sizes - {sum(lam)}:
-            raise ValueError(f"member sizes {sorted(sizes)} but |lambda|={sum(lam)}")
-    counts = {key: {} for key in groups}
-    for lam, canon in classes.items():
-        col = column(canon)
-        for key, members in groups.items():
-            counts[key][lam] = sum(1 for nu in members if nu in col)
-    return counts
+    # blocks_of runs for every e first, so an e below 2 fails with its message.
+    tables = [(e, blocks_of(e, n)) for e in e_values]
+    # Per e: the index of each member's block by its mask, and one row per block.
+    where = [{_beads(nu, n): i for i, members in enumerate(blocks.values()) for nu in members}
+             for _, blocks in tables]
+    rows = [[{} for _ in blocks] for _, blocks in tables]
+    for lam in partitions_of(n):
+        ks = [k for k, (e, _) in enumerate(tables) if is_e_class_regular(lam, e) == regular]
+        col = _column(lam) if ks else ()
+        for k in ks:
+            counts = [0] * len(rows[k])
+            for i in map(where[k].__getitem__, col):
+                counts[i] += 1
+            for row, c in zip(rows[k], counts):
+                row[lam] = c
+    return {b: row for (_, blocks), r in zip(tables, rows) for b, row in zip(blocks, r)}
 
 
 def min_nonzero(counts: dict):
@@ -144,11 +140,7 @@ def min_c_over_regular(b: BlockId):
     attaining it (both None if every regular class gives 0), and the list of
     regular classes with count 0.
     """
-    if b.e < 2:
-        raise ValueError("regular classes need e >= 2")
-    regular = [lam for lam in partitions_of(b.n) if is_e_class_regular(lam, b.e)]
-    counts = count_matrix({b: block_partitions(b)}, regular)
-    return min_nonzero(counts[b])
+    return min_nonzero(count_matrix([b.e], b.n)[b])
 
 
 def opposite_sign_partner(psi, phi, b: BlockId, lam):
@@ -189,6 +181,8 @@ def blocks_of(e: int, n: int) -> dict:
     in reverse core order: one block per e-core among the partitions of n."""
     if e < 2:
         raise ValueError("block enumeration needs e >= 2")
-    groups = core_groups(e, n)
+    groups = {}
+    for nu in partitions_of(n):
+        groups.setdefault(e_core(nu, e), []).append(nu)
     return {BlockId(e=e, core=core, weight=(n - sum(core)) // e): groups[core]
             for core in sorted(groups, reverse=True)}

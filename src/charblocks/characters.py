@@ -3,12 +3,13 @@
 Values are plain Python ints, so they are exact at any size.  One loop,
 _mn_sum, carries a {bead mask: coefficient} map through the signed rim-hook
 moves of one class part at a time, with no memo and no recursion; bit x of a
-mask is a bead at abacus position x (partitions._beads), and masks are
-decoded only at the end.  column(lam) adds hooks to the empty partition on
-n = |lam| beads, smallest part first: the Schur expansion of p_lam
-(Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 11 and I.7),
-whose coefficients are the column chi^.(lam).  It is unchecked, for
-partitions the library built; public functions check arguments once, on entry.
+mask is a bead at abacus position x (partitions._beads).  _column(lam) adds
+hooks to the empty partition on n = |lam| beads, smallest part first: the
+Schur expansion of p_lam (Macdonald, Symmetric Functions and Hall Polynomials,
+I.3 Ex. 11 and I.7), whose coefficients are the column chi^.(lam), keyed by
+the n-bead mask of each nu; column(lam) decodes the masks.  Both are
+unchecked, for partitions the library built; public functions check
+arguments once, on entry.
 """
 
 from __future__ import annotations
@@ -43,11 +44,16 @@ def _mn_sum(states: dict, parts, add: bool) -> dict:
     return states
 
 
+def _column(lam) -> dict:
+    """{bead mask of nu on |lam| beads: chi^nu(lam)} over the characters
+    non-zero on the class lam, a partition tuple in descending order
+    (unchecked)."""
+    return _mn_sum({(1 << sum(lam)) - 1: 1}, reversed(lam), True)
+
+
 def column(lam) -> dict:
-    """{nu: chi^nu(lam)} over the characters non-zero on the class lam, a
-    partition tuple in descending order (unchecked)."""
-    states = _mn_sum({(1 << sum(lam)) - 1: 1}, reversed(lam), True)
-    return {_parts(m): c for m, c in states.items()}
+    """_column(lam) keyed by partition."""
+    return {_parts(m): c for m, c in _column(lam).items()}
 
 
 class CharEngine:
@@ -102,8 +108,8 @@ def centralizer_order(lam) -> int:
 def character_table(n: int):
     """Full table of S_n: rows and columns both in partitions_of(n) order."""
     ps = partitions_of(n)
-    columns = [column(lam) for lam in ps]
-    return [[col.get(nu, 0) for col in columns] for nu in ps]
+    columns = [_column(lam) for lam in ps]
+    return [[col.get(_beads(nu, n), 0) for col in columns] for nu in ps]
 
 
 def character_table_text(n: int) -> str:

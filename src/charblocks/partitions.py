@@ -148,6 +148,7 @@ def remove_hooks_of_length(p, length: int):
 
     On the abacus a removal slides one bead down by the length.
     """
+    p = check_partition(p)
     if length < 1:
         raise ValueError("hook length must be >= 1")
     moves = _moves(_beads(p, len(p)), length, False)
@@ -159,6 +160,7 @@ def add_hooks_of_length(p, length: int):
 
     On the abacus an addition slides one bead up by the length.
     """
+    p = check_partition(p)
     if length < 1:
         raise ValueError("hook length must be >= 1")
     moves = _moves(_beads(p, len(p) + length), length, True)
@@ -168,6 +170,7 @@ def add_hooks_of_length(p, length: int):
 def e_core(p, e: int):
     """The e-core: push every abacus bead down its runner as far as it goes.
     Only runners below the top bead hold beads, so the cost does not grow with e."""
+    p = check_partition(p)
     if e < 1:
         raise ValueError("e must be >= 1")
     mask = _beads(p, len(p))

@@ -17,12 +17,11 @@ from functools import partial
 from itertools import chain, combinations
 
 from .blocks import blocks_of, count_matrix, extremal_lambda, min_nonzero
-from .characters import chi_bar_coeffs, column
+from .characters import _column, chi_bar_coeffs, column
 from .partitions import (
     diagonal_hooks,
     dominance_leq,
     hook_lengths,
-    is_e_class_regular,
     partitions_of,
     remove_hooks_of_length,
     render_partition,
@@ -96,22 +95,10 @@ def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
 # its e's regular classes, remark1 over the others.
 
 
-def _blocks_at(e_values, n: int) -> dict:
-    """{BlockId: members} for the blocks of S_n of every e, e by e."""
-    return {b: members for e in e_values for b, members in blocks_of(e, n).items()}
-
-
 def _block_rows(format_row, regular: bool, e_values, n: int):
-    # blocks_of runs first, so an e below 2 fails with its message.
-    blocks = _blocks_at(e_values, n)
-    # The e values whose (ir)regular classes include each class.
-    es = {lam: {e for e in e_values if is_e_class_regular(lam, e) == regular}
-          for lam in partitions_of(n)}
-    rows = [
-        {"e": b.e, "n": n, "core": render_partition(b.core), "w": b.weight,
-         **format_row(b, {lam: c for lam, c in counts.items() if b.e in es[lam]})}
-        for b, counts in count_matrix(blocks, [lam for lam in es if es[lam]]).items()
-    ]
+    rows = [{"e": b.e, "n": n, "core": render_partition(b.core), "w": b.weight,
+             **format_row(b, counts)}
+            for b, counts in count_matrix(e_values, n, regular).items()]
     return rows, [r for r in rows if not r.get("ok", True)]
 
 
@@ -186,10 +173,10 @@ def _exceeds_sqrt_bound(c: int, n: int) -> bool:
 
 
 def _remark2_rows(bound_max: int, n: int):
-    # e = 1: the whole character table of S_n is a single block.
+    # e = 1: the whole character table of S_n is one block; a count is a column's size.
     hook = (n - 1, 1)
     classes = partitions_of(n) if n <= bound_max else [hook]
-    counts = count_matrix({(): partitions_of(n)}, classes)[()]
+    counts = {lam: len(_column(lam)) for lam in classes}
     row = {"n": n, "c_(n-1,1)": counts[hook], "expected": n - 1,
            "ok": counts[hook] == n - 1}
     if n <= bound_max:
@@ -305,7 +292,8 @@ def _rowstructure_rows(e_values, n: int):
     if n >= 2:
         ok = set(column((n - 1, 1))) == _near_hook_set(n)
         rows.append({"check": "near_hooks", "n": n, "ok": ok})
-    blocks = {b: members for b, members in _blocks_at(e_values, n).items() if b.core}
+    blocks = {b: members for e in e_values for b, members in blocks_of(e, n).items()
+              if b.core}
     # Blocks often share their extremal class, also across e: one column per class.
     columns = {lam: column(lam) for lam in {extremal_lambda(b) for b in blocks}}
     for b, members in blocks.items():

@@ -7,7 +7,6 @@ from charblocks.blocks import (
     block_partitions,
     blocks_of,
     c_mu,
-    core_groups,
     count_matrix,
     extremal_lambda,
     min_c_over_regular,
@@ -89,15 +88,12 @@ class TestBlockPartitions:
                 cores = sorted((mu for m in range(n % e, n + 1, e)
                                 for mu in partitions_of(m) if greedy_core(mu, e) == mu),
                                reverse=True)
-                groups = core_groups(e, n)
-                assert set(groups) == set(cores)
-                found = list(blocks_of(e, n))
+                found = blocks_of(e, n)
                 assert [b.core for b in found] == cores
-                for b in found:
+                for b, members in found.items():
                     assert b.weight == (n - sum(b.core)) // e
-                for core, members in groups.items():
                     assert members == [
-                        nu for nu in partitions_of(n) if greedy_core(nu, e) == core
+                        nu for nu in partitions_of(n) if greedy_core(nu, e) == b.core
                     ]
 
     @pytest.mark.parametrize("e,n", [(2, 0), (3, 0), (1, 4), (1, 1), (2, -1)])
@@ -135,18 +131,20 @@ class TestCount:
 
     @pytest.mark.parametrize("regular", [True, False])
     def test_count_matrix_counts_members_in_column(self, regular):
-        # Every e from 2 to n: each count is the block's members in the column.
+        # Every e from 2 to n in one matrix: rows e by e in blocks_of order,
+        # each over its own e's classes, and each count is the block's members
+        # in the column.
         for n in range(2, 11):
-            for e in range(2, n + 1):
-                blocks = blocks_of(e, n)
+            es = range(2, n + 1)
+            counts = count_matrix(es, n, regular)
+            blocks = {b: members for e in es for b, members in blocks_of(e, n).items()}
+            assert list(counts) == list(blocks)
+            for b, members in blocks.items():
                 classes = [lam for lam in partitions_of(n)
-                           if is_e_class_regular(lam, e) == regular]
-                counts = count_matrix(blocks, classes)
-                assert list(counts) == list(blocks)
-                for b, members in blocks.items():
-                    assert counts[b] == {
-                        lam: sum(1 for nu in members if nu in column(lam))
-                        for lam in classes}
+                           if is_e_class_regular(lam, b.e) == regular]
+                assert list(counts[b].items()) == [
+                    (lam, sum(1 for nu in members if nu in column(lam)))
+                    for lam in classes]
 
 
 class TestExtremal:

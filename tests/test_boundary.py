@@ -16,10 +16,12 @@ from charblocks import (
     centralizer_order,
     char_degree,
     char_value,
+    add_hooks_of_length,
     chi_bar_coeffs,
-    count_matrix,
+    e_core,
     opposite_sign_partner,
 )
+from charblocks.partitions import remove_hooks_of_length
 
 UNSORTED = (1, 2)
 ZERO_PART = (3, 0)
@@ -35,7 +37,9 @@ LABEL_ENTRIES = [
      lambda p: opposite_sign_partner(p, (1,), BlockId(e=2, core=(1,), weight=1), (3,))),
     ("opposite_sign_partner.phi",
      lambda p: opposite_sign_partner((5,), p, BlockId(e=2, core=(1,), weight=2), (5,))),
-    ("count_matrix.member", lambda p: count_matrix({(): [p]}, [(2, 1)])),
+    ("e_core", lambda p: e_core(p, 2)),
+    ("remove_hooks_of_length", lambda p: remove_hooks_of_length(p, 1)),
+    ("add_hooks_of_length", lambda p: add_hooks_of_length(p, 1)),
 ]
 
 # The same for entries taking the bad partition where a class goes.
@@ -46,7 +50,6 @@ CLASS_ENTRIES = [
     ("c_mu", lambda p: c_mu(BlockId(e=2, core=(1,), weight=1), p)),
     ("opposite_sign_partner.lam",
      lambda p: opposite_sign_partner((3,), (1,), BlockId(e=2, core=(1,), weight=1), p)),
-    ("count_matrix.class", lambda p: count_matrix({(): [(2, 1)]}, [p])),
 ]
 
 
@@ -71,9 +74,7 @@ def test_rejects_malformed_partition(call, bad):
     lambda: chi_bar_coeffs((1,), 2, 2),
     lambda: c_mu(BlockId(e=2, core=(1,), weight=1), (2, 2)),
     lambda: opposite_sign_partner((3,), (1,), BlockId(e=2, core=(1,), weight=1), (2, 2)),
-    lambda: count_matrix({(): [(2, 1)]}, [(2, 2)]),
-], ids=["char_value", "chi_bar_coeffs", "c_mu", "opposite_sign_partner",
-        "count_matrix"])
+], ids=["char_value", "chi_bar_coeffs", "c_mu", "opposite_sign_partner"])
 def test_rejects_size_mismatch(call):
     with pytest.raises(ValueError):
         call()
@@ -82,5 +83,3 @@ def test_rejects_size_mismatch(call):
 def test_out_of_order_class_is_sorted():
     assert char_value((2, 2), (1, 3)) == char_value((2, 2), (3, 1)) == -1
     assert centralizer_order((1, 3)) == centralizer_order((3, 1)) == 3
-    # count_matrix keys its columns by the classes exactly as given
-    assert count_matrix({(): [(2, 2), (3, 1)]}, [(1, 3)]) == {(): {(1, 3): 1}}

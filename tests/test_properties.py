@@ -12,6 +12,7 @@ from charblocks.characters import char_value, column
 from charblocks.partitions import (
     add_hooks_of_length,
     e_core,
+    is_e_class_regular,
     partitions_of,
     remove_hooks_of_length,
 )
@@ -77,12 +78,13 @@ def test_column_matches_ascending_recursion(lam):
 @oracle
 @given(st.integers(2, 5), st.integers(1, 8).flatmap(partition_of))
 def test_count_matrix_matches_ascending_recursion(e, lam):
-    # Each block's count on the drawn class is its members that the uncached
-    # ascending recursion finds non-zero, and agrees with the one-block c_mu.
+    # Each block's count on the drawn class, in the matrix over the classes
+    # as (ir)regular as it, is its members that the uncached ascending
+    # recursion finds non-zero, and agrees with the one-block c_mu.
     blocks = blocks_of(e, sum(lam))
-    counts = count_matrix(blocks, [lam])
+    counts = count_matrix([e], sum(lam), is_e_class_regular(lam, e))
     assert list(counts) == list(blocks)
     for b, members in blocks.items():
         count = sum(1 for nu in members if mn_ascending(nu, lam) != 0)
-        assert counts[b] == {lam: count}
+        assert counts[b][lam] == count
         assert c_mu(b, lam).count == count
