@@ -52,7 +52,7 @@ def _column(lam) -> dict:
 
 
 def column(lam) -> dict:
-    """_column(lam) keyed by partition."""
+    """{nu: chi^nu(lam)}, non-zero values only: _column(lam) decoded."""
     return {_parts(m): c for m, c in _column(lam).items()}
 
 

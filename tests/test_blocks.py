@@ -81,8 +81,8 @@ class TestBlockPartitions:
                 assert sorted(seen) == sorted(partitions_of(n))
 
     def test_core_groups_match_greedy_oracle(self):
-        for e in range(2, 6):
-            for n in range(1, 10):
+        for e in range(2, 16):
+            for n in range(1, 13):
                 # The e-cores found independently: partitions of the sizes
                 # m = n (mod e) up to n that the greedy stripping leaves alone.
                 cores = sorted((mu for m in range(n % e, n + 1, e)
