@@ -1,3 +1,4 @@
+import pickle
 from functools import partial
 
 import pytest
@@ -48,6 +49,41 @@ class TestBlockId:
     def test_empty_block_of_s0_rejected(self):
         with pytest.raises(ValueError):
             BlockId(e=2, core=(), weight=0)
+
+    @pytest.mark.parametrize("e,core,weight,message", [
+        (3, (1, 2), 1, r"parts must be weakly decreasing: \(1, 2\)"),
+        (0, (), 1, "e must be >= 1"),
+        (2, (), -1, "weight must be non-negative"),
+        (1, (1,), 1, "e=1 blocks must have empty core"),
+        (3, (3,), 1, r"\(3,\) is not a 3-core"),
+        (2, (), 0, "block must live in S_n with n >= 1"),
+    ])
+    def test_error_messages(self, e, core, weight, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockId(e=e, core=core, weight=weight)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        # Dict and set orders of blocks, and so report row orders, rest on it.
+        b = BlockId(e=3, core=(1, 1), weight=2)
+        assert hash(b) == hash((b.e, b.core, b.weight))
+
+    def test_fields_are_read_only(self):
+        b = BlockId(e=2, core=(1,), weight=1)
+        with pytest.raises(AttributeError):
+            b.e = 3
+        assert b.e == 2
+
+    def test_core_is_canonicalised(self):
+        b = BlockId(e=4, core=[2, 1], weight=1)
+        assert b.core == (2, 1) and type(b.core) is tuple
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert BlockId(4, (2, 1), 1) == BlockId(e=4, core=(2, 1), weight=1)
+
+    def test_pickle_round_trip(self):
+        b = BlockId(e=4, core=(2, 1), weight=1)
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy == b and type(copy) is BlockId and copy.n == 7
 
 
 class TestBlockPartitions:
@@ -113,6 +149,12 @@ class TestCount:
         r = c_mu(BlockId(e=2, core=(), weight=2), (3, 1))
         assert r.count == 3
         assert r.witnesses == [(4,), (2, 2), (1, 1, 1, 1)]
+
+    def test_report_fields(self):
+        b = BlockId(e=2, core=(), weight=2)
+        r = c_mu(b, [1, 3])
+        assert r.block == b and r.class_label == (3, 1) and type(r.class_label) is tuple
+        assert r.count == 3 and r.witnesses == [(4,), (2, 2), (1, 1, 1, 1)]
 
     def test_witness_consistency(self):
         for e in range(2, 5):
