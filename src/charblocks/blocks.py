@@ -8,7 +8,7 @@ fixed conjugacy class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .characters import _column, chi_bar_coeffs, column
 from .partitions import (
@@ -22,37 +22,33 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class BlockId:
-    e: int
-    core: tuple
-    weight: int
+class BlockId(namedtuple("BlockId", "e core weight")):
+    """A block's name (e, core, weight), a named tuple: BlockId(...)
+    canonicalises the core and checks all three."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "core", check_partition(self.core))
-        if self.e < 1:
+    __slots__ = ()
+
+    def __new__(cls, e, core, weight):
+        core = check_partition(core)
+        if e < 1:
             raise ValueError("e must be >= 1")
-        if self.weight < 0:
+        if weight < 0:
             raise ValueError("weight must be non-negative")
-        if self.e == 1:
-            if self.core != ():
+        if e == 1:
+            if core != ():
                 raise ValueError("e=1 blocks must have empty core")
-        elif not is_e_core(self.core, self.e):
-            raise ValueError(f"{self.core} is not a {self.e}-core")
-        if self.n < 1:
+        elif not is_e_core(core, e):
+            raise ValueError(f"{core} is not a {e}-core")
+        if sum(core) + weight * e < 1:
             raise ValueError("block must live in S_n with n >= 1")
+        return super().__new__(cls, e, core, weight)
 
     @property
     def n(self) -> int:
         return sum(self.core) + self.weight * self.e
 
 
-@dataclass
-class CountReport:
-    block: BlockId
-    class_label: tuple
-    count: int
-    witnesses: list = field(default_factory=list)
+CountReport = namedtuple("CountReport", "block class_label count witnesses")
 
 
 def block_partitions(b: BlockId):

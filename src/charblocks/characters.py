@@ -109,7 +109,7 @@ def character_table(n: int):
     """Full table of S_n: rows and columns both in partitions_of(n) order."""
     ps = partitions_of(n)
     columns = [_column(lam) for lam in ps]
-    return [[col.get(_beads(nu, n), 0) for col in columns] for nu in ps]
+    return [[col.get(m, 0) for col in columns] for m in [_beads(nu, n) for nu in ps]]
 
 
 def character_table_text(n: int) -> str:

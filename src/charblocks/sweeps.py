@@ -10,9 +10,6 @@ the rows instead.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, combinations
 
@@ -28,11 +25,13 @@ from .partitions import (
 )
 
 
-@dataclass
 class SweepReport:
-    params: dict
-    rows: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
+    """A sweep's parameters, its rows and the rows of its failed checks."""
+
+    def __init__(self, params: dict, rows: list, counterexamples: list):
+        self.params = params
+        self.rows = rows
+        self.counterexamples = counterexamples
 
     @property
     def verdict(self) -> str:
@@ -49,6 +48,7 @@ class SweepReport:
             "counterexamples": self.counterexamples,
         }
         if meta:
+            from datetime import datetime, timezone
             obj["meta"] = {"generated": datetime.now(timezone.utc).isoformat()}
         return json.dumps(obj, indent=2)
 
@@ -81,6 +81,7 @@ def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
         raise ValueError("nothing to verify: the range is empty")
     workers = min(jobs, len(ns))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(task_fn, ns))
     else:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 from functools import partial
 
@@ -300,7 +301,8 @@ def fake_pool(monkeypatch):
             seen["tasks"].extend(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+    # _sweep imports the pool class when it needs one, so patch it at its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return seen
 
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +288,39 @@ class TestRoundTrip:
         for line in out.splitlines():
             p = parse_partition(line)
             assert sum(p) == 9
+
+
+class TestStartup:
+    """What `import charblocks.cli` and a sweep load, in a fresh interpreter."""
+
+    # Prints the modules that the import and the run loaded, one a line, on stderr.
+    PROBE = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from charblocks import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(*sorted(set(sys.modules) - before), sep='\\n', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    ARGV = ("verify", "theorem1", "--e", "2..3", "--max-n", "6", "--format", "json",
+            "--no-meta")
+
+    def probe(self, *argv):
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, set(proc.stderr.split())
+
+    def test_one_job_loads_no_pool_dataclasses_or_datetime(self):
+        _, loaded = self.probe(*self.ARGV)
+        assert "charblocks.sweeps" in loaded
+        unused = {"concurrent.futures.process", "multiprocessing", "dataclasses",
+                  "inspect", "datetime"}
+        assert not unused & loaded
+
+    def test_two_jobs_load_the_process_pool(self):
+        out, loaded = self.probe(*self.ARGV, "--jobs", "2")
+        assert "concurrent.futures.process" in loaded
+        assert out == self.probe(*self.ARGV)[0]
