@@ -39,9 +39,10 @@ class BlockId(namedtuple("BlockId", "e core weight")):
                 raise ValueError("e=1 blocks must have empty core")
         elif not is_e_core(core, e):
             raise ValueError(f"{core} is not a {e}-core")
-        if sum(core) + weight * e < 1:
+        self = super().__new__(cls, e, core, weight)
+        if self.n < 1:
             raise ValueError("block must live in S_n with n >= 1")
-        return super().__new__(cls, e, core, weight)
+        return self
 
     @property
     def n(self) -> int:
