@@ -119,8 +119,6 @@ def extremal_lambda(b: BlockId):
         raise ValueError("extremal construction needs e >= 2")
     we = b.weight * b.e
     if not b.core:
-        if b.weight == 0:
-            raise ValueError("empty core with weight 0 gives the empty block of S_0")
         lam = (we - 1, 1)
     else:
         hooks = diagonal_hooks(b.core)

@@ -56,20 +56,24 @@ def column(lam) -> dict:
     return {_parts(m): c for m, c in _column(lam).items()}
 
 
+def char_value(nu, lam) -> int:
+    """The value of the irreducible character labeled nu on the class lam: rim
+    hooks are removed from nu, largest class part first."""
+    nu = check_partition(nu)
+    lam = check_partition(sorted(lam, reverse=True))
+    if sum(nu) != sum(lam):
+        raise ValueError(f"|nu|={sum(nu)} but |lambda|={sum(lam)}")
+    empty = (1 << len(nu)) - 1
+    return _mn_sum({_beads(nu, len(nu)): 1}, lam, False).get(empty, 0)
+
+
 class CharEngine:
-    """Checked single values: rim hooks are removed from nu, largest class
-    part first, and no state is kept.  The class, shared_engine() and
-    cache_size() (always 0) remain only because the benchmark's traced run
+    """Forwards to char_value and keeps no state.  The class, shared_engine()
+    and cache_size() (always 0) remain only because the benchmark's traced run
     (perfbench/traced.py and perfbench/spans.py) reads them."""
 
     def char_value(self, nu, lam) -> int:
-        """The value of the irreducible character labeled nu on the class lam."""
-        nu = check_partition(nu)
-        lam = check_partition(sorted(lam, reverse=True))
-        if sum(nu) != sum(lam):
-            raise ValueError(f"|nu|={sum(nu)} but |lambda|={sum(lam)}")
-        empty = (1 << len(nu)) - 1
-        return _mn_sum({_beads(nu, len(nu)): 1}, lam, False).get(empty, 0)
+        return char_value(nu, lam)
 
     def cache_size(self) -> int:
         return 0
@@ -80,10 +84,6 @@ _shared = CharEngine()
 
 def shared_engine() -> CharEngine:
     return _shared
-
-
-def char_value(nu, lam) -> int:
-    return _shared.char_value(nu, lam)
 
 
 def char_degree(nu) -> int:

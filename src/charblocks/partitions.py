@@ -76,6 +76,7 @@ def render_partition(p) -> str:
 
 def conjugate(p):
     """Transpose of the Young diagram."""
+    p = check_partition(p)
     if not p:
         return ()
     cols = [0] * p[0]
@@ -97,7 +98,7 @@ def hook_lengths(p):
 
 def diagonal_hooks(p):
     """Hook lengths on the main diagonal, (h_11, ..., h_kk) with k maximal."""
-    conj = conjugate(p)
+    conj = conjugate(p)  # checks p
     # 0-based cell (k, k) lies in the diagram iff p[k] > k; its hook is
     # (p[k] - k - 1) + (conj[k] - k - 1) + 1.
     return tuple(p[k] + conj[k] - 2 * k - 1 for k in range(len(p)) if p[k] > k)
@@ -193,17 +194,18 @@ def e_weight(p, e: int) -> int:
 
 
 def is_e_core(p, e: int) -> bool:
-    """True iff no hook length of p is divisible by e (e >= 2)."""
+    """True iff p is its own e-core (e >= 2): no e-hook can be removed, which
+    holds iff no hook length of p is divisible by e (James-Kerber 2.7)."""
     if e < 2:
         raise ValueError("is_e_core requires e >= 2")
-    return all(h % e != 0 for h in hook_lengths(p).values())
+    return e_core(p, e) == tuple(p)  # e_core checks p
 
 
 def is_e_class_regular(p, e: int) -> bool:
-    """True iff no part of p is divisible by e (e >= 2)."""
+    """True iff no part of the class p is divisible by e (e >= 2)."""
     if e < 2:
         raise ValueError("is_e_class_regular requires e >= 2")
-    return all(part % e != 0 for part in p)
+    return all(part % e != 0 for part in check_partition(sorted(p, reverse=True)))
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +227,7 @@ def _gen_partitions(n, max_part):
 
 def dominance_leq(a, b) -> bool:
     """Dominance order: every prefix sum of a is at most the matching one of b."""
+    a, b = check_partition(a), check_partition(b)
     if sum(a) != sum(b):
         raise ValueError(f"dominance needs equal sizes: |{a}| != |{b}|")
     sa = sb = 0

@@ -92,11 +92,9 @@ def test_criterion_7_engine_oracles():
 
 
 def test_criterion_8_full_table_counts():
-    rep = verify_remark2(10, bound_max=9)
-    conjecture = all(
-        r["conjecture_min_is_n_minus_1"] for r in rep.rows if "min_c" in r
-    )
-    print(f"  reported: min count equals n-1 for 3<=n<=9: {conjecture}")
+    rep = verify_remark2(10)
+    conjecture = all(r["conjecture_min_is_n_minus_1"] for r in rep.rows)
+    print(f"  reported: min count equals n-1 for 3<=n<=10: {conjecture}")
     report("criterion 8: e=1 counts and sqrt lower bound", rep.passed())
 
 

@@ -321,11 +321,10 @@ class TestSweeps:
             lambda jobs: verify_chibar(6, jobs=jobs),
             lambda jobs: lemma1_sweep(6, jobs=jobs),
             lambda jobs: verify_remark2(8, jobs=jobs),
-            lambda jobs: verify_remark2(10, bound_max=9, jobs=jobs),
             lambda jobs: nonvanishing_row_structure_check(7, [2, 3], jobs=jobs),
         ],
         ids=["theorem1", "dichotomy", "remark1", "chibar", "lemma1", "remark2",
-             "remark2-bound", "rowstructure"],
+             "rowstructure"],
     )
     def test_parallel_matches_serial(self, sweep):
         assert sweep(2).to_json(meta=False) == sweep(1).to_json(meta=False)

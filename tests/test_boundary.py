@@ -18,7 +18,12 @@ from charblocks import (
     char_value,
     add_hooks_of_length,
     chi_bar_coeffs,
+    conjugate,
+    diagonal_hooks,
+    dominance_leq,
     e_core,
+    is_e_class_regular,
+    is_e_core,
     opposite_sign_partner,
 )
 from charblocks.partitions import remove_hooks_of_length
@@ -40,6 +45,11 @@ LABEL_ENTRIES = [
     ("e_core", lambda p: e_core(p, 2)),
     ("remove_hooks_of_length", lambda p: remove_hooks_of_length(p, 1)),
     ("add_hooks_of_length", lambda p: add_hooks_of_length(p, 1)),
+    ("is_e_core", lambda p: is_e_core(p, 2)),
+    ("conjugate", conjugate),
+    ("diagonal_hooks", diagonal_hooks),
+    ("dominance_leq.a", lambda p: dominance_leq(p, (2, 1))),
+    ("dominance_leq.b", lambda p: dominance_leq((2, 1), p)),
 ]
 
 # The same for entries taking the bad partition where a class goes.
@@ -50,6 +60,7 @@ CLASS_ENTRIES = [
     ("c_mu", lambda p: c_mu(BlockId(e=2, core=(1,), weight=1), p)),
     ("opposite_sign_partner.lam",
      lambda p: opposite_sign_partner((3,), (1,), BlockId(e=2, core=(1,), weight=1), p)),
+    ("is_e_class_regular", lambda p: is_e_class_regular(p, 2)),
 ]
 
 
@@ -83,3 +94,4 @@ def test_rejects_size_mismatch(call):
 def test_out_of_order_class_is_sorted():
     assert char_value((2, 2), (1, 3)) == char_value((2, 2), (3, 1)) == -1
     assert centralizer_order((1, 3)) == centralizer_order((3, 1)) == 3
+    assert is_e_class_regular((1, 3), 2) == is_e_class_regular((3, 1), 2) is True

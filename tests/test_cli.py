@@ -43,6 +43,10 @@ class TestCore:
         assert code == 2
         assert "error" in err
 
+    def test_e_below_one_exit_2(self, capsys):
+        code, out, err = run(capsys, "core", "--e", "0", "3")
+        assert (code, out, err) == (2, "", "error: e must be >= 1\n")
+
 
 class TestChar:
     @pytest.mark.parametrize(
@@ -104,6 +108,12 @@ class TestBlockAndExtremal:
                            "--weight", "2")
         assert code == 0
         assert out == "3,1\ncount: 3\n"
+
+    def test_extremal_needs_e_at_least_2(self, capsys):
+        code, out, err = run(capsys, "extremal", "--e", "1", "--core", "-",
+                             "--weight", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: extremal construction needs e >= 2\n"
 
 
 class TestSizeLimit:
@@ -220,6 +230,10 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: verify {sweep} does not read {option}\n"
 
+    def test_reversed_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "theorem1", "--e", "5..2")
+        assert (code, out, err) == (2, "", "error: empty range '5..2'\n")
+
     @pytest.mark.parametrize("e", ["2..", "a", "2,3"])
     def test_malformed_e_exit_2(self, capsys, e):
         code, out, err = run(capsys, "verify", "theorem1", "--e", e, "--max-n", "3")
@@ -261,6 +275,52 @@ class TestFailedVerification:
         assert report["counterexamples"] == report["rows"]
         keys = [(r["e"], r["n"], r["core"]) for r in report["rows"]]
         assert keys == sorted(keys) and len(keys) > 20
+
+
+    @pytest.fixture
+    def even_legs(self, monkeypatch):
+        """Every single-hook removal gets leg 0, so every configuration lemma1
+        checks has an even leg sum."""
+        from charblocks import sweeps
+
+        removal_map = sweeps._removal_map
+        monkeypatch.setattr(sweeps, "_removal_map", lambda p: dict.fromkeys(removal_map(p), 0))
+
+    def test_lemma1_failure(self, capsys, even_legs):
+        code, out, _ = run(capsys, "verify", "lemma1", "--max-size", "2",
+                           "--format", "json", "--no-meta")
+        report = json.loads(out)
+        assert code == 1
+        assert report["verdict"] == "fail"
+        assert report["rows"] == [{"m": 2, "checked": 1, "failures": 1}]
+        assert report["counterexamples"] == [{"delta1": "2", "delta2": "1,1", "gamma1": "1",
+                                              "gamma2": "-", "legs": [0, 0, 0, 0]}]
+
+    def test_plain_prints_counterexamples(self, capsys, even_legs):
+        code, out, _ = run(capsys, "verify", "lemma1", "--max-size", "2")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "COUNTEREXAMPLE: {'delta1': '2', 'delta2': '1,1', 'gamma1': '1', "
+            "'gamma2': '-', 'legs': [0, 0, 0, 0]}",
+            "verdict: fail",
+        ]
+
+    def test_chibar_failure(self, capsys, monkeypatch):
+        from charblocks import sweeps
+
+        # The trivial character alone: its value 1 never cancels.
+        monkeypatch.setattr(sweeps, "chi_bar_coeffs", lambda phi, length, n: {(n,): 1})
+        code, out, _ = run(capsys, "verify", "chibar", "--max-n", "2",
+                           "--format", "json", "--no-meta")
+        report = json.loads(out)
+        assert code == 1
+        assert report["verdict"] == "fail"
+        assert report["rows"] == [{"n": 1, "checked": 0, "failures": 0},
+                                  {"n": 2, "checked": 2, "failures": 2}]
+        assert report["counterexamples"] == [
+            {"n": 2, "length": 1, "phi": "1", "class": "2"},
+            {"n": 2, "length": 2, "phi": "-", "class": "1,1"},
+        ]
 
 
 class TestUnexpectedErrors:

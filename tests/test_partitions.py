@@ -147,6 +147,10 @@ class TestHookRemoval:
                     assert removals
                     assert all(sum(q) == n - h for q, _ in removals)
 
+    def test_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="hook length must be >= 1"):
+            remove_hooks_of_length((2, 1), 0)
+
 
 class TestHookAddition:
     def test_examples(self):
@@ -173,6 +177,10 @@ class TestHookAddition:
                 for length in range(1, 5):
                     for q, leg in add_hooks_of_length(p, length):
                         assert (p, leg) in remove_hooks_of_length(q, length)
+
+    def test_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="hook length must be >= 1"):
+            add_hooks_of_length((2, 1), 0)
 
 
 class TestCores:
@@ -229,11 +237,12 @@ class TestCores:
         with pytest.raises(ValueError):
             is_e_core((2, 1), 1)
 
-    def test_is_e_core_matches_weight(self):
+    def test_is_e_core_matches_hook_criterion(self):
+        # James-Kerber 2.7: p is an e-core iff no hook length of p is divisible by e.
         for n in range(11):
             for p in partitions_of(n):
                 for e in range(2, 6):
-                    assert is_e_core(p, e) == (e_weight(p, e) == 0)
+                    assert is_e_core(p, e) == all(h % e for h in hook_lengths(p).values())
 
     def test_class_regular(self):
         assert is_e_class_regular((10, 2, 1, 1, 1), 3)
