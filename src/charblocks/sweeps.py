@@ -191,8 +191,8 @@ def verify_remark2(n_max: int, jobs: int = 1) -> SweepReport:
     equals n-1 is reported, not asserted."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    # bound_max once capped the n that got the full table; every n gets it now,
-    # and the key stays so that the report reads byte for byte as before.
+    # Every n gets the full table, so bound_max always equals n_max; the key
+    # stays so that reports keep the bytes of earlier versions.
     return _sweep(_remark2_rows, range(3, n_max + 1), jobs,
                   {"n_max": n_max, "bound_max": n_max})
 

@@ -276,7 +276,6 @@ class TestFailedVerification:
         keys = [(r["e"], r["n"], r["core"]) for r in report["rows"]]
         assert keys == sorted(keys) and len(keys) > 20
 
-
     @pytest.fixture
     def even_legs(self, monkeypatch):
         """Every single-hook removal gets leg 0, so every configuration lemma1
