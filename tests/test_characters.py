@@ -119,6 +119,12 @@ class TestCharacterTable:
     def test_n1(self):
         assert character_table(1) == [[1]]
 
+    def test_matches_ascending_recursion(self):
+        # every cell of every table up to n = 8 against the uncached oracle
+        for n in range(0, 9):
+            ps = partitions_of(n)
+            assert character_table(n) == [[mn_ascending(nu, lam) for lam in ps] for nu in ps]
+
     def test_s4_table(self):
         ps = partitions_of(4)
         table = character_table(4)

@@ -42,6 +42,10 @@ CASES = {
     "table-plain": ("table", "--n", "6", "--format", "plain"),
     "table-csv": ("table", "--n", "6", "--format", "csv"),
     "table-json": ("table", "--n", "6", "--format", "json"),
+    # n = 12 has classes that share long prefixes of small parts.
+    "table-plain-12": ("table", "--n", "12", "--format", "plain"),
+    "table-csv-12": ("table", "--n", "12", "--format", "csv"),
+    "table-json-12": ("table", "--n", "12", "--format", "json"),
     "verify-rowstructure-plain": ("verify", "rowstructure", "--e", "2..6",
                                   "--max-n", "11", "--format", "plain"),
     "core-plain": ("core", "--e", "3", "10,2,1,1,1"),
