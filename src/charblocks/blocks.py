@@ -9,10 +9,10 @@ fixed conjugacy class.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 
-from .characters import _column, chi_bar_coeffs, column
+from .characters import _columns, chi_bar_coeffs, column
 from .partitions import (
-    _beads,
     check_partition,
     diagonal_hooks,
     e_core,
@@ -73,23 +73,42 @@ def count_matrix(e_values, n: int, regular: bool = True) -> dict:
     e-class-regular classes (the other classes if not regular), in
     partitions_of order.
 
-    A character's block is the one its bead mask on n beads belongs to, so a
-    class's column is built once, as masks, for every e that counts it.
+    A class's column is built once, in one _columns walk over every class that
+    some e counts, and serves every such e: each non-zero position adds one to
+    the count of the block that position's character belongs to.
     """
     # blocks_of runs for every e first, so an e below 2 fails with its message.
     tables = [(e, blocks_of(e, n)) for e in e_values]
-    # Per e: the index of each member's block by its mask, and one row per block.
-    where = [{_beads(nu, n): i for i, members in enumerate(blocks.values()) for nu in members}
-             for _, blocks in tables]
-    rows = [[{} for _ in blocks] for _, blocks in tables]
-    for lam in partitions_of(n):
-        ks = [k for k, (e, _) in enumerate(tables) if is_e_class_regular(lam, e) == regular]
-        col = _column(lam) if ks else ()
-        for k in ks:
-            counts = [0] * len(rows[k])
-            for i in map(where[k].__getitem__, col):
+    ps = partitions_of(n)
+    position = {nu: j for j, nu in enumerate(ps)}
+    # Per e: the index of the block of the character at each position.
+    where = []
+    for _, blocks in tables:
+        index = [0] * len(ps)
+        for i, members in enumerate(blocks.values()):
+            for nu in members:
+                index[position[nu]] = i
+        where.append(index)
+    # The tables each class is counted in; partitions_of built the classes,
+    # so regularity is read off their parts unchecked.
+    counted = {}
+    for lam in ps:
+        ks = [k for k, (e, _) in enumerate(tables) if all(part % e for part in lam) == regular]
+        if ks:
+            counted[lam] = ks
+    found = {}
+    for lam, col in _columns(counted, n):
+        nonzero = list(compress(range(len(col)), col))
+        for k in counted[lam]:
+            counts = [0] * len(tables[k][1])
+            for i in map(where[k].__getitem__, nonzero):
                 counts[i] += 1
-            for row, c in zip(rows[k], counts):
+            found[lam, k] = counts
+    # The walk yields classes in its own order; rows list them in partitions_of order.
+    rows = [[{} for _ in blocks] for _, blocks in tables]
+    for lam, ks in counted.items():
+        for k in ks:
+            for row, c in zip(rows[k], found[lam, k]):
                 row[lam] = c
     return {b: row for (_, blocks), r in zip(tables, rows) for b, row in zip(blocks, r)}
 

@@ -1,21 +1,25 @@
 """Exact symmetric-group character values by the Murnaghan-Nakayama rule.
 
-Values are plain Python ints, so they are exact at any size.  One loop,
-_mn_sum, carries a {bead mask: coefficient} map through the signed rim-hook
-moves of one class part at a time, with no memo and no recursion; bit x of a
-mask is a bead at abacus position x (partitions._beads).  _column(lam) adds
-hooks to the empty partition on n = |lam| beads, smallest part first: the
-Schur expansion of p_lam (Macdonald, Symmetric Functions and Hall Polynomials,
-I.3 Ex. 11 and I.7), whose coefficients are the column chi^.(lam), keyed by
-the n-bead mask of each nu; column(lam) decodes the masks.  Both are
+Values are plain Python ints, so they are exact at any size.  Bit x of a bead
+mask is a bead at abacus position x (partitions._beads).
+
+One class: _mn_sum carries a {bead mask: coefficient} map through the signed
+rim-hook moves of one class part at a time, with no memo and no recursion.
+column(lam) adds hooks to the empty partition on n = |lam| beads, smallest
+part first: the Schur expansion of p_lam (Macdonald, Symmetric Functions and
+Hall Polynomials, I.3 Ex. 11 and I.7), whose coefficients are the column
+chi^.(lam); char_value removes hooks from one nu, largest part first.
+
+Many classes of one n: _columns walks them as ascending part tuples, so
+classes that share their smallest parts share the hook additions for those
+parts, and each state is a dense list over partitions_of(size) that steps
+through a move table built once per (size, part) within the call.  It is
 unchecked, for partitions the library built; public functions check
 arguments once, on entry.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from math import factorial
 
@@ -44,16 +48,59 @@ def _mn_sum(states: dict, parts, add: bool) -> dict:
     return states
 
 
-def _column(lam) -> dict:
-    """{bead mask of nu on |lam| beads: chi^nu(lam)} over the characters
-    non-zero on the class lam, a partition tuple in descending order
-    (unchecked)."""
-    return _mn_sum({(1 << sum(lam)) - 1: 1}, reversed(lam), True)
-
-
 def column(lam) -> dict:
-    """{nu: chi^nu(lam)}, non-zero values only: _column(lam) decoded."""
-    return {_parts(m): c for m, c in _column(lam).items()}
+    """{nu: chi^nu(lam)}, non-zero values only, for one class lam, a partition
+    tuple in descending order (unchecked)."""
+    states = _mn_sum({(1 << sum(lam)) - 1: 1}, reversed(lam), True)
+    return {_parts(m): c for m, c in states.items()}
+
+
+def _columns(classes, n: int):
+    """Yield (lam, col) for each class lam of S_n (partition tuples in
+    descending order, unchecked), col being [chi^nu(lam) for nu in
+    partitions_of(n)], in walk order: ascending part tuples in
+    lexicographic order.  Each prefix's state is built once.  Every bead
+    mask lies on n beads, which hold any partition of a size up to n."""
+    where = {}  # size -> {n-bead mask: position in partitions_of(size)}
+    tables = {}  # (size, part) -> per position, (even-leg, odd-leg) targets
+
+    def positions(size):
+        if size not in where:
+            where[size] = {_beads(p, n): i for i, p in enumerate(partitions_of(size))}
+        return where[size]
+
+    def table(size, t):
+        key = (size, t)
+        if key not in tables:
+            to = positions(size + t)
+            moves = []
+            for m in positions(size):
+                even, odd = [], []
+                for q, leg in _moves(m, t, True):
+                    (odd if leg & 1 else even).append(to[q])
+                moves.append((tuple(even), tuple(odd)))
+            tables[key] = moves
+        return tables[key]
+
+    path = ()  # ascending parts walked so far; stack[k] is (size, state) after k of them
+    stack = [(0, [1])]
+    for asc, lam in sorted((lam[::-1], lam) for lam in classes):
+        k = 0
+        while k < min(len(path), len(asc)) and path[k] == asc[k]:
+            k += 1
+        del stack[k + 1:]
+        for t in asc[k:]:
+            size, state = stack[-1]
+            nxt = [0] * len(partitions_of(size + t))
+            for c, (even, odd) in zip(state, table(size, t)):
+                if c:
+                    for j in even:
+                        nxt[j] += c
+                    for j in odd:
+                        nxt[j] -= c
+            stack.append((size + t, nxt))
+        path = asc
+        yield lam, stack[-1][1]
 
 
 def char_value(nu, lam) -> int:
@@ -105,11 +152,17 @@ def centralizer_order(lam) -> int:
     return z
 
 
+def _rows(n: int):
+    """The rows of the table of S_n, tuples in partitions_of(n) order: the
+    transpose of its columns."""
+    ps = partitions_of(n)
+    columns = dict(_columns(ps, n))
+    return zip(*[columns[lam] for lam in ps])
+
+
 def character_table(n: int):
     """Full table of S_n: rows and columns both in partitions_of(n) order."""
-    ps = partitions_of(n)
-    columns = [_column(lam) for lam in ps]
-    return [[col.get(m, 0) for col in columns] for m in [_beads(nu, n) for nu in ps]]
+    return [list(row) for row in _rows(n)]
 
 
 def character_table_text(n: int) -> str:
@@ -118,35 +171,30 @@ def character_table_text(n: int) -> str:
     labels = [render_partition(p) for p in partitions_of(n)]
     width = max([len(s) for s in labels] + [5])
     lines = [" " * width + "  " + "  ".join(s.rjust(width) for s in labels)]
-    for label, row in zip(labels, character_table(n)):
+    for label, row in zip(labels, _rows(n)):
         lines.append(label.rjust(width) + "  " + "  ".join(str(v).rjust(width) for v in row))
     return "\n".join(lines)
 
 
 def character_table_csv(n: int) -> str:
-    """CSV with class labels as header and character labels as first column."""
-    ps = partitions_of(n)
-    rows = character_table(n)
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-    writer.writerow([""] + [render_partition(lam) for lam in ps])
-    for nu, row in zip(ps, rows):
-        writer.writerow([render_partition(nu)] + [str(v) for v in row])
-    return buf.getvalue()
+    """CSV with class labels as header and character labels as first column,
+    every field quoted and every line ended by a newline.  No label or value
+    holds a quote, so none needs escaping."""
+    labels = [render_partition(p) for p in partitions_of(n)]
+    lines = ['"' + '","'.join([""] + labels) + '"\n']
+    for label, row in zip(labels, _rows(n)):
+        lines.append('"' + '","'.join([label, *map(str, row)]) + '"\n')
+    return "".join(lines)
 
 
 def character_table_json(n: int) -> str:
-    """JSON object with values as a row-major array of decimal strings."""
-    ps = partitions_of(n)
-    rows = character_table(n)
-    labels = [render_partition(p) for p in ps]
-    obj = {
-        "n": n,
-        "classes": labels,
-        "characters": labels,
-        "values": [str(v) for row in rows for v in row],
-    }
-    return json.dumps(obj, indent=2)
+    """JSON object with values as a row-major array of decimal strings, laid
+    out as json.dumps(..., indent=2) lays it out.  The values are written a
+    row at a time, so no string object per cell outlives its row."""
+    labels = [render_partition(p) for p in partitions_of(n)]
+    head = json.dumps({"n": n, "classes": labels, "characters": labels}, indent=2)
+    values = '",\n    "'.join('",\n    "'.join(map(str, row)) for row in _rows(n))
+    return head[:-2] + ',\n  "values": [\n    "' + values + '"\n  ]\n}'
 
 
 def chi_bar_coeffs(phi, length: int, n: int) -> dict:

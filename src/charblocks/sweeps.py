@@ -14,7 +14,7 @@ from functools import partial
 from itertools import chain, combinations
 
 from .blocks import blocks_of, count_matrix, extremal_lambda, min_nonzero
-from .characters import _column, chi_bar_coeffs, column
+from .characters import _columns, chi_bar_coeffs
 from .partitions import (
     diagonal_hooks,
     dominance_leq,
@@ -174,11 +174,12 @@ def _exceeds_sqrt_bound(c: int, n: int) -> bool:
 
 
 def _remark2_rows(n: int):
-    # e = 1: the whole character table of S_n is one block; a count is a column's size.
-    counts = [len(_column(lam)) for lam in partitions_of(n)]
-    hook = counts[1]  # the class (n-1, 1), second in partitions_of order
-    bound_ok = all(_exceeds_sqrt_bound(c, n) for c in counts)
-    min_c = min(counts)
+    # e = 1: the whole character table of S_n is one block; a count is the
+    # number of non-zero entries in a column.
+    counts = {lam: len(col) - col.count(0) for lam, col in _columns(partitions_of(n), n)}
+    hook = counts[n - 1, 1]
+    bound_ok = all(_exceeds_sqrt_bound(c, n) for c in counts.values())
+    min_c = min(counts.values())
     row = {"n": n, "c_(n-1,1)": hook, "expected": n - 1, "ok": hook == n - 1 and bound_ok,
            "bound_ok": bound_ok, "min_c": min_c,
            "conjecture_min_is_n_minus_1": min_c == n - 1}
@@ -244,8 +245,16 @@ def lemma1_sweep(m_max: int, jobs: int = 1) -> SweepReport:
 # Vanishing of the signed hook-addition combinations
 
 
+def _decoded_columns(classes, n: int) -> dict:
+    """{lam: {nu: chi^nu(lam)}} over the non-zero values, for each class in
+    the order of classes."""
+    ps = partitions_of(n)
+    columns = dict(_columns(classes, n))
+    return {lam: {nu: c for nu, c in zip(ps, columns[lam]) if c} for lam in classes}
+
+
 def _chibar_rows(n: int):
-    columns = {lam: column(lam) for lam in partitions_of(n)}
+    columns = _decoded_columns(partitions_of(n), n)
     failures = []
     checked = 0
     for length in range(1, n + 1):
@@ -287,13 +296,16 @@ def _near_hook_set(n: int):
 
 def _rowstructure_rows(e_values, n: int):
     rows = []
-    if n >= 2:
-        ok = set(column((n - 1, 1))) == _near_hook_set(n)
-        rows.append({"check": "near_hooks", "n": n, "ok": ok})
     blocks = {b: members for e in e_values for b, members in blocks_of(e, n).items()
               if b.core}
     # Blocks often share their extremal class, also across e: one column per class.
-    columns = {lam: column(lam) for lam in {extremal_lambda(b) for b in blocks}}
+    classes = {extremal_lambda(b) for b in blocks}
+    if n >= 2:
+        classes.add((n - 1, 1))
+    columns = _decoded_columns(classes, n)
+    if n >= 2:
+        ok = set(columns[n - 1, 1]) == _near_hook_set(n)
+        rows.append({"check": "near_hooks", "n": n, "ok": ok})
     for b, members in blocks.items():
         lam = extremal_lambda(b)
         col = columns[lam]

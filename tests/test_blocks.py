@@ -14,7 +14,7 @@ from charblocks.blocks import (
     min_c_over_regular,
     opposite_sign_partner,
 )
-from charblocks.characters import char_value, column
+from charblocks.characters import _columns, char_value, column
 from charblocks.partitions import (
     e_core,
     is_e_class_regular,
@@ -362,15 +362,22 @@ class TestSweeps:
             assert keys == sorted(keys) and {e for e, _, _ in keys} == {2, 3, 4}
 
     def test_rowstructure_one_column_per_extremal_class_per_n(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(sweeps, "column",
-                            lambda lam: built.append(lam) or column(lam))
+        built = {}
+
+        def columns(classes, n):
+            classes = list(classes)
+            built[n] = built.get(n, 0) + len(classes)
+            return _columns(classes, n)
+
+        monkeypatch.setattr(sweeps, "_columns", columns)
         nonvanishing_row_structure_check(12, [2, 3, 4, 5])
-        expected = 0
+        expected = {}
         for n in range(1, 13):
             ext = {extremal_lambda(b) for e in (2, 3, 4, 5) for b in blocks_of(e, n) if b.core}
-            expected += len(ext) + (n >= 2)  # and the near-hook column (n-1, 1)
-        assert len(built) == expected
+            # and the near-hook column (n-1, 1), which may itself be extremal:
+            # (n-1, 1) is the extremal class of core (2, 2) at e = 4, n = 8.
+            expected[n] = len(ext | {(n - 1, 1)} if n >= 2 else ext)
+        assert built == expected
 
     @pytest.mark.parametrize(
         "sweep",

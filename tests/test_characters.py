@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from charblocks.characters import (
+    _columns,
     centralizer_order,
     char_degree,
     char_value,
@@ -113,6 +114,19 @@ class TestDegreesAndOrthogonality:
         for m in range(1, 15):
             identity = column((1,) * m)
             assert identity == {nu: char_degree(nu) for nu in partitions_of(m)}
+
+
+class TestBatchColumns:
+    def test_empty_class_of_s0(self):
+        assert list(_columns([()], 0)) == [((), [1])]
+
+    def test_no_classes_yield_nothing(self):
+        assert list(_columns([], 5)) == []
+
+    def test_walk_order_is_ascending_parts(self):
+        # classes sharing their smallest parts come out together
+        walked = [lam for lam, _ in _columns(partitions_of(5), 5)]
+        assert walked == sorted(partitions_of(5), key=lambda lam: lam[::-1])
 
 
 class TestCharacterTable:

@@ -379,6 +379,11 @@ class TestStartup:
                   "inspect", "datetime"}
         assert not unused & loaded
 
+    def test_csv_table_loads_no_csv_module(self):
+        loaded = self.probe("table", "--n", "4", "--format", "csv")
+        assert "charblocks.characters" in loaded
+        assert "csv" not in loaded
+
     def test_two_jobs_load_the_process_pool(self):
         loaded = self.probe(*self.ARGV, "--jobs", "2")
         assert "concurrent.futures.process" in loaded

@@ -8,7 +8,7 @@ against an independent computation.  Runs are derandomized, so every run draws t
 from hypothesis import given, settings, strategies as st
 
 from charblocks.blocks import blocks_of, c_mu, count_matrix
-from charblocks.characters import char_value, column
+from charblocks.characters import _columns, char_value, column
 from charblocks.partitions import (
     add_hooks_of_length,
     e_core,
@@ -73,6 +73,21 @@ def test_column_matches_ascending_recursion(lam):
     # The column holds every non-zero value on lam and nothing else.
     expected = {nu: mn_ascending(nu, lam) for nu in partitions_of(sum(lam))}
     assert column(lam) == {nu: v for nu, v in expected.items() if v != 0}
+
+
+@oracle
+@given(st.integers(0, 14).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(partitions_of(n)), unique=True))))
+def test_batch_columns_match_single_columns(drawn):
+    # Any subset of the classes of S_n, in any order: the batch walk yields
+    # each class once, with the dense column that decodes to column(lam).
+    n, classes = drawn
+    ps = partitions_of(n)
+    walked = list(_columns(classes, n))
+    assert sorted(lam for lam, _ in walked) == sorted(classes)
+    for lam, col in walked:
+        assert len(col) == len(ps)
+        assert {nu: c for nu, c in zip(ps, col) if c} == column(lam)
 
 
 @oracle
