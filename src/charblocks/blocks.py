@@ -8,7 +8,7 @@ fixed conjugacy class.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import compress
 
 from .characters import _columns, chi_bar_coeffs, column
@@ -89,27 +89,22 @@ def count_matrix(e_values, n: int, regular: bool = True) -> dict:
             for nu in members:
                 index[position[nu]] = i
         where.append(index)
-    # The tables each class is counted in; partitions_of built the classes,
-    # so regularity is read off their parts unchecked.
-    counted = {}
-    for lam in ps:
-        ks = [k for k, (e, _) in enumerate(tables) if all(part % e for part in lam) == regular]
-        if ks:
-            counted[lam] = ks
-    found = {}
+    # Each e's classes, in partitions_of order, with a zero count; partitions_of
+    # built them, so regularity is read off their parts unchecked.
+    zeros = [dict.fromkeys([lam for lam in ps if all(part % e for part in lam) == regular], 0)
+             for e, _ in tables]
+    counted = {}  # class -> the indices of the e's that count it
+    for k, classes in enumerate(zeros):
+        for lam in classes:
+            counted.setdefault(lam, []).append(k)
+    # Every row starts with its classes in order, so the walk, which yields
+    # them in its own order, only sets the non-zero counts.
+    rows = [[classes.copy() for _ in blocks] for classes, (_, blocks) in zip(zeros, tables)]
     for lam, col in _columns(counted, n):
         nonzero = list(compress(range(len(col)), col))
         for k in counted[lam]:
-            counts = [0] * len(tables[k][1])
-            for i in map(where[k].__getitem__, nonzero):
-                counts[i] += 1
-            found[lam, k] = counts
-    # The walk yields classes in its own order; rows list them in partitions_of order.
-    rows = [[{} for _ in blocks] for _, blocks in tables]
-    for lam, ks in counted.items():
-        for k in ks:
-            for row, c in zip(rows[k], found[lam, k]):
-                row[lam] = c
+            for i, c in Counter(map(where[k].__getitem__, nonzero)).items():
+                rows[k][i][lam] = c
     return {b: row for (_, blocks), r in zip(tables, rows) for b, row in zip(blocks, r)}
 
 
