@@ -59,6 +59,7 @@ CASES = {
     # Wide e ranges, where most e exceed most n and each e has its own classes.
     "verify-remark1-wide": ("verify", "remark1", "--e", "6..9", "--max-n", "10"),
     "verify-theorem1-wide": ("verify", "theorem1", "--e", "6..12", "--max-n", "10"),
+    "verify-dichotomy-wide": ("verify", "dichotomy", "--e", "6..12", "--max-n", "10"),
 }
 
 
