@@ -8,8 +8,7 @@ fixed conjugacy class.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from itertools import compress
+from collections import namedtuple
 
 from .characters import _columns, chi_bar_coeffs, column
 from .partitions import (
@@ -51,6 +50,8 @@ class BlockId(namedtuple("BlockId", "e core weight")):
 
 CountReport = namedtuple("CountReport", "block class_label count witnesses")
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # flags 0/1 -> the digits of int(..., 2)
+
 
 def block_partitions(b: BlockId):
     """All partitions of b.n with the block's e-core, in enumeration order."""
@@ -67,45 +68,31 @@ def c_mu(b: BlockId, lam) -> CountReport:
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
 
 
-def count_matrix(e_values, n: int, regular: bool = True) -> dict:
-    """Blocks x classes non-zero counts of S_n, {BlockId: {class: count}}: the
-    blocks of each e in turn, in blocks_of order, each over its e's
+def count_matrix(e_values, n: int, regular: bool = True):
+    """Yield (BlockId, {class: count}), the non-zero counts of S_n block by
+    block: the blocks of each e in turn, in blocks_of order, each over its e's
     e-class-regular classes (the other classes if not regular), in
     partitions_of order.
 
-    A class's column is built once, in one _columns walk over every class that
-    some e counts, and serves every such e: each non-zero position adds one to
-    the count of the block that position's character belongs to.
+    Bit j of a mask stands for the j-th partition of partitions_of(n).  One
+    _columns walk over every class that some e counts turns each column into
+    the mask of its non-zero positions; a count is the popcount of that mask
+    and the mask of the block's members.
     """
-    # blocks_of runs for every e first, so an e below 2 fails with its message.
+    # blocks_of runs for every e before the first row, so an e below 2 fails
+    # with its message.
     tables = [(e, blocks_of(e, n)) for e in e_values]
     ps = partitions_of(n)
-    position = {nu: j for j, nu in enumerate(ps)}
-    # Per e: the index of the block of the character at each position.
-    where = []
-    for _, blocks in tables:
-        index = [0] * len(ps)
-        for i, members in enumerate(blocks.values()):
-            for nu in members:
-                index[position[nu]] = i
-        where.append(index)
-    # Each e's classes, in partitions_of order, with a zero count; partitions_of
-    # built them, so regularity is read off their parts unchecked.
-    zeros = [dict.fromkeys([lam for lam in ps if all(part % e for part in lam) == regular], 0)
-             for e, _ in tables]
-    counted = {}  # class -> the indices of the e's that count it
-    for k, classes in enumerate(zeros):
-        for lam in classes:
-            counted.setdefault(lam, []).append(k)
-    # Every row starts with its classes in order, so the walk, which yields
-    # them in its own order, only sets the non-zero counts.
-    rows = [[classes.copy() for _ in blocks] for classes, (_, blocks) in zip(zeros, tables)]
-    for lam, col in _columns(counted, n):
-        nonzero = list(compress(range(len(col)), col))
-        for k in counted[lam]:
-            for i, c in Counter(map(where[k].__getitem__, nonzero)).items():
-                rows[k][i][lam] = c
-    return {b: row for (_, blocks), r in zip(tables, rows) for b, row in zip(blocks, r)}
+    bit = {nu: 1 << j for j, nu in enumerate(ps)}
+    # partitions_of built the classes, so regularity is read off their parts unchecked.
+    own = [[lam for lam in ps if all(part % e for part in lam) == regular] for e, _ in tables]
+    masks = {lam: int(bytes(map(bool, col))[::-1].translate(_DIGITS), 2)
+             for lam, col in _columns({lam for classes in own for lam in classes}, n)}
+    for classes, (_, blocks) in zip(own, tables):
+        columns = [(lam, masks[lam]) for lam in classes]
+        for b, members in blocks.items():
+            m = sum(map(bit.__getitem__, members))
+            yield b, {lam: (c & m).bit_count() for lam, c in columns}
 
 
 def min_nonzero(counts: dict):
@@ -149,7 +136,7 @@ def min_c_over_regular(b: BlockId):
     attaining it (both None if every regular class gives 0), and the list of
     regular classes with count 0.
     """
-    return min_nonzero(count_matrix([b.e], b.n)[b])
+    return min_nonzero(dict(count_matrix([b.e], b.n))[b])
 
 
 def opposite_sign_partner(psi, phi, b: BlockId, lam):

@@ -91,7 +91,7 @@ def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# Block sweeps: one count matrix per n over the blocks of every e, so a class's
+# Block sweeps: one count_matrix per n over the blocks of every e, so a class's
 # column serves every e.  theorem1 and the dichotomy read each block's row over
 # its e's regular classes, remark1 over the others.
 
@@ -99,7 +99,7 @@ def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
 def _block_rows(format_row, regular: bool, e_values, n: int):
     rows = [{"e": b.e, "n": n, "core": render_partition(b.core), "w": b.weight,
              **format_row(b, counts)}
-            for b, counts in count_matrix(e_values, n, regular).items()]
+            for b, counts in count_matrix(e_values, n, regular)]
     return rows, [r for r in rows if not r.get("ok", True)]
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import pickle
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -179,7 +180,7 @@ class TestCount:
         # in the column.
         for n in range(2, 11):
             es = range(2, n + 1)
-            counts = count_matrix(es, n, regular)
+            counts = dict(count_matrix(es, n, regular))
             blocks = {b: members for e in es for b, members in blocks_of(e, n).items()}
             assert list(counts) == list(blocks)
             for b, members in blocks.items():
@@ -188,6 +189,21 @@ class TestCount:
                 assert list(counts[b].items()) == [
                     (lam, sum(1 for nu in members if nu in column(lam)))
                     for lam in classes]
+
+    def test_count_matrix_streams_its_rows(self):
+        # Rows come one at a time: consuming every block of e = 2..14 at n = 14
+        # never holds the whole block x class matrix (a dict of them peaks above
+        # 4 MB here).
+        tracemalloc.start()
+        try:
+            counts = count_matrix(range(2, 15), 14)
+            assert not isinstance(counts, dict)
+            for _ in counts:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestExtremal:

@@ -97,7 +97,7 @@ def test_count_matrix_matches_ascending_recursion(e, lam):
     # as (ir)regular as it, is its members that the uncached ascending
     # recursion finds non-zero, and agrees with the one-block c_mu.
     blocks = blocks_of(e, sum(lam))
-    counts = count_matrix([e], sum(lam), is_e_class_regular(lam, e))
+    counts = dict(count_matrix([e], sum(lam), is_e_class_regular(lam, e)))
     assert list(counts) == list(blocks)
     for b, members in blocks.items():
         count = sum(1 for nu in members if mn_ascending(nu, lam) != 0)
