@@ -91,7 +91,7 @@ def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# Block sweeps: one count_matrix per n over the blocks of every e, so a class's
+# Block sweeps: one count_matrix call per n over the blocks of every e, so a class's
 # column serves every e.  theorem1 and the dichotomy read each block's row over
 # its e's regular classes, remark1 over the others.
 
