@@ -69,10 +69,11 @@ def c_mu(b: BlockId, lam) -> CountReport:
 
 
 def count_matrix(e_values, n: int, regular: bool = True):
-    """Yield (BlockId, {class: count}), the non-zero counts of S_n block by
-    block: the blocks of each e in turn, in blocks_of order, each over its e's
-    e-class-regular classes (the other classes if not regular), in
-    partitions_of order.
+    """Yield (BlockId, classes, counts), the non-zero counts of S_n block by
+    block: the blocks of each e in turn, in blocks_of order.  classes is one
+    tuple per e, shared by its blocks: the e-class-regular classes (the other
+    classes if not regular) in partitions_of order; counts[i] is the block's
+    count on classes[i].
 
     Bit j of a mask stands for the j-th partition of partitions_of(n).  One
     _columns walk over every class that some e counts turns each column into
@@ -85,29 +86,15 @@ def count_matrix(e_values, n: int, regular: bool = True):
     ps = partitions_of(n)
     bit = {nu: 1 << j for j, nu in enumerate(ps)}
     # partitions_of built the classes, so regularity is read off their parts unchecked.
-    own = [[lam for lam in ps if all(part % e for part in lam) == regular] for e, _ in tables]
+    own = [tuple(lam for lam in ps if all(part % e for part in lam) == regular)
+           for e, _ in tables]
     masks = {lam: int(bytes(map(bool, col))[::-1].translate(_DIGITS), 2)
              for lam, col in _columns({lam for classes in own for lam in classes}, n)}
     for classes, (_, blocks) in zip(own, tables):
-        columns = [(lam, masks[lam]) for lam in classes]
+        colmasks = [masks[lam] for lam in classes]
         for b, members in blocks.items():
             m = sum(map(bit.__getitem__, members))
-            yield b, {lam: (c & m).bit_count() for lam, c in columns}
-
-
-def min_nonzero(counts: dict):
-    """(min, argmin, zeros) of a {class: count} row: the smallest non-zero
-    count with the first class attaining it (both None if every count is 0),
-    and the classes with count 0, all in the row's class order."""
-    best = None
-    argmin = None
-    zeros = []
-    for lam, c in counts.items():
-        if c == 0:
-            zeros.append(lam)
-        elif best is None or c < best:
-            best, argmin = c, lam
-    return best, argmin, zeros
+            yield b, classes, [(c & m).bit_count() for c in colmasks]
 
 
 def extremal_lambda(b: BlockId):
@@ -132,11 +119,14 @@ def extremal_lambda(b: BlockId):
 def min_c_over_regular(b: BlockId):
     """Exhaustive minimum of the count over e-class-regular classes.
 
-    Returns (min, argmin, zeros): the smallest non-zero count with a class
-    attaining it (both None if every regular class gives 0), and the list of
-    regular classes with count 0.
+    Returns (min, argmin, zeros): the smallest non-zero count with the first
+    class attaining it (both None if every regular class gives 0), and the
+    list of regular classes with count 0, classes in partitions_of order.
     """
-    return min_nonzero(dict(count_matrix([b.e], b.n))[b])
+    _, classes, counts = next(row for row in count_matrix([b.e], b.n) if row[0] == b)
+    best = min(filter(None, counts), default=None)
+    argmin = None if best is None else classes[counts.index(best)]
+    return best, argmin, [lam for lam, c in zip(classes, counts) if c == 0]
 
 
 def opposite_sign_partner(psi, phi, b: BlockId, lam):

@@ -13,7 +13,7 @@ import json
 from functools import partial
 from itertools import chain, combinations
 
-from .blocks import blocks_of, count_matrix, extremal_lambda, min_nonzero
+from .blocks import blocks_of, count_matrix, extremal_lambda
 from .characters import _columns, chi_bar_coeffs
 from .partitions import (
     diagonal_hooks,
@@ -98,8 +98,8 @@ def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
 
 def _block_rows(format_row, regular: bool, e_values, n: int):
     rows = [{"e": b.e, "n": n, "core": render_partition(b.core), "w": b.weight,
-             **format_row(b, counts)}
-            for b, counts in count_matrix(e_values, n, regular)]
+             **format_row(b, classes, counts)}
+            for b, classes, counts in count_matrix(e_values, n, regular)]
     return rows, [r for r in rows if not r.get("ok", True)]
 
 
@@ -115,35 +115,35 @@ def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
     return report
 
 
-def _theorem1_row(b, counts):
+def _theorem1_row(b, classes, counts):
     target = b.weight + 1
-    best, argmin, zeros = min_nonzero(counts)
+    best = min(filter(None, counts), default=None)
     ext = extremal_lambda(b)
-    ext_count = counts[ext]
+    ext_count = counts[classes.index(ext)]
     return {
         "min": best,
-        "argmin": render_partition(argmin) if argmin else None,
-        "zero_classes": len(zeros),
+        "argmin": None if best is None else render_partition(classes[counts.index(best)]),
+        "zero_classes": counts.count(0),
         "extremal": render_partition(ext),
         "extremal_count": ext_count,
         "expected": target,
-        "ok": (best is None or best == target) and ext_count == target,
+        "ok": best == target and ext_count == target,
     }
 
 
-def _small_counts(b, counts):
+def _small_counts(b, classes, counts):
     """Classes whose count lies strictly between 0 and weight+1."""
     return [{"class": render_partition(lam), "count": c}
-            for lam, c in counts.items() if 0 < c < b.weight + 1]
+            for lam, c in zip(classes, counts) if 0 < c < b.weight + 1]
 
 
-def _dichotomy_row(b, counts):
-    failures = _small_counts(b, counts)
+def _dichotomy_row(b, classes, counts):
+    failures = _small_counts(b, classes, counts)
     return {"classes_checked": len(counts), "failures": failures, "ok": not failures}
 
 
-def _remark1_row(b, counts):
-    return {"classes_checked": len(counts), "violations": _small_counts(b, counts)}
+def _remark1_row(b, classes, counts):
+    return {"classes_checked": len(counts), "violations": _small_counts(b, classes, counts)}
 
 
 def verify_theorem1(e_values, n_max: int, jobs: int = 1) -> SweepReport:

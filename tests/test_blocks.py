@@ -176,19 +176,20 @@ class TestCount:
     @pytest.mark.parametrize("regular", [True, False])
     def test_count_matrix_counts_members_in_column(self, regular):
         # Every e from 2 to n in one matrix: rows e by e in blocks_of order,
-        # each over its own e's classes, and each count is the block's members
-        # in the column.
+        # each over its own e's classes, one tuple shared by the e's rows, and
+        # each count is the block's members in the column.
         for n in range(2, 11):
             es = range(2, n + 1)
-            counts = dict(count_matrix(es, n, regular))
+            rows = list(count_matrix(es, n, regular))
             blocks = {b: members for e in es for b, members in blocks_of(e, n).items()}
-            assert list(counts) == list(blocks)
-            for b, members in blocks.items():
-                classes = [lam for lam in partitions_of(n)
-                           if is_e_class_regular(lam, b.e) == regular]
-                assert list(counts[b].items()) == [
-                    (lam, sum(1 for nu in members if nu in column(lam)))
-                    for lam in classes]
+            assert [b for b, _, _ in rows] == list(blocks)
+            for e in es:
+                assert len({id(classes) for b, classes, _ in rows if b.e == e}) == 1
+            for (b, classes, counts), members in zip(rows, blocks.values()):
+                assert classes == tuple(lam for lam in partitions_of(n)
+                                        if is_e_class_regular(lam, b.e) == regular)
+                assert counts == [sum(1 for nu in members if nu in column(lam))
+                                  for lam in classes]
 
     def test_count_matrix_streams_its_rows(self):
         # Rows come one at a time: consuming every block of e = 2..14 at n = 14
@@ -249,6 +250,20 @@ class TestMinOverRegular:
                     if b.weight == 0:
                         best, _, _ = min_c_over_regular(b)
                         assert best == 1
+
+    def test_matches_brute_force(self):
+        # The first class in partitions_of order wins a tie, and the zeros
+        # keep that order.
+        for e in range(2, 5):
+            for n in range(1, 9):
+                regular = [lam for lam in partitions_of(n) if is_e_class_regular(lam, e)]
+                for b in blocks_of(e, n):
+                    counts = [c_mu(b, lam).count for lam in regular]
+                    nonzero = [(c, i) for i, c in enumerate(counts) if c]
+                    best, i = min(nonzero) if nonzero else (None, None)
+                    assert min_c_over_regular(b) == (
+                        best, None if i is None else regular[i],
+                        [lam for lam, c in zip(regular, counts) if c == 0])
 
 
 class TestOppositeSignPartner:

@@ -266,7 +266,9 @@ class TestFailedVerification:
     def test_every_theorem1_block_fails(self, capsys, monkeypatch):
         from charblocks import sweeps
 
-        monkeypatch.setattr(sweeps, "min_nonzero", lambda counts: (0, None, []))
+        count_matrix = sweeps.count_matrix
+        monkeypatch.setattr(sweeps, "count_matrix", lambda *args: (
+            (b, classes, [0] * len(counts)) for b, classes, counts in count_matrix(*args)))
         code, out, _ = run(capsys, "verify", "theorem1", "--e", "2..4", "--max-n", "7",
                            "--format", "json", "--no-meta")
         report = json.loads(out)

@@ -5,6 +5,10 @@ the bead moves, cores, single character values and whole character columns
 against an independent computation.  Runs are derandomized, so every run draws the same examples.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from charblocks.blocks import blocks_of, c_mu, count_matrix
@@ -97,9 +101,32 @@ def test_count_matrix_matches_ascending_recursion(e, lam):
     # as (ir)regular as it, is its members that the uncached ascending
     # recursion finds non-zero, and agrees with the one-block c_mu.
     blocks = blocks_of(e, sum(lam))
-    counts = dict(count_matrix([e], sum(lam), is_e_class_regular(lam, e)))
-    assert list(counts) == list(blocks)
-    for b, members in blocks.items():
+    rows = list(count_matrix([e], sum(lam), is_e_class_regular(lam, e)))
+    assert [b for b, _, _ in rows] == list(blocks)
+    assert len({id(classes) for _, classes, _ in rows}) == 1
+    for (b, classes, counts), members in zip(rows, blocks.values()):
         count = sum(1 for nu in members if mn_ascending(nu, lam) != 0)
-        assert counts[b][lam] == count
+        assert counts[classes.index(lam)] == count
         assert c_mu(b, lam).count == count
+
+
+def test_failing_example_is_a_plain_failure(tmp_path):
+    # Under the repo's warning filters, a falsified property fails its test
+    # and pytest goes on; it does not stop with an internal error.
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(derandomize=True, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 0\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out
