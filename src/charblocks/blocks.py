@@ -6,15 +6,15 @@ quantity is the number of block members whose character is non-zero on a
 fixed conjugacy class.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .characters import _columns, chi_bar_coeffs, column
 from .partitions import (
+    _beads,
+    _core_mask,
+    _parts,
     check_partition,
     diagonal_hooks,
-    e_core,
     is_e_class_regular,
     is_e_core,
     partitions_of,
@@ -55,7 +55,8 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")  # flags 0/1 -> the digits of int(...,
 
 def block_partitions(b: BlockId):
     """All partitions of b.n with the block's e-core, in enumeration order."""
-    return [nu for nu in partitions_of(b.n) if e_core(nu, b.e) == b.core]
+    core = _beads(b.core, b.n)  # an e-core's beads are already pushed down
+    return [nu for nu in partitions_of(b.n) if _core_mask(_beads(nu, b.n), b.e) == core]
 
 
 def c_mu(b: BlockId, lam) -> CountReport:
@@ -169,6 +170,8 @@ def blocks_of(e: int, n: int) -> dict:
         raise ValueError("block enumeration needs e >= 2")
     groups = {}
     for nu in partitions_of(n):
-        groups.setdefault(e_core(nu, e), []).append(nu)
-    return {BlockId(e=e, core=core, weight=(n - sum(core)) // e): groups[core]
-            for core in sorted(groups, reverse=True)}
+        groups.setdefault(_core_mask(_beads(nu, n), e), []).append(nu)
+    # On n beads, mask order is core order.
+    cores = {_parts(mask): groups[mask] for mask in sorted(groups, reverse=True)}
+    return {BlockId(e=e, core=core, weight=(n - sum(core)) // e): members
+            for core, members in cores.items()}

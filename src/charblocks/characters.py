@@ -18,9 +18,6 @@ unchecked, for partitions the library built; public functions check
 arguments once, on entry.
 """
 
-from __future__ import annotations
-
-import json
 from math import factorial
 
 from .partitions import (
@@ -179,11 +176,12 @@ def character_table_text(n: int) -> str:
 def character_table_csv(n: int) -> str:
     """CSV with class labels as header and character labels as first column,
     every field quoted and every line ended by a newline.  No label or value
-    holds a quote, so none needs escaping."""
+    holds a quote, so none needs escaping.  One %-format writes a row's values."""
     labels = [render_partition(p) for p in partitions_of(n)]
+    row_text = '","'.join(["%d"] * len(labels)) + '"\n'
     lines = ['"' + '","'.join([""] + labels) + '"\n']
     for label, row in zip(labels, _rows(n)):
-        lines.append('"' + '","'.join([label, *map(str, row)]) + '"\n')
+        lines.append('"' + label + '","' + row_text % row)
     return "".join(lines)
 
 
@@ -191,6 +189,7 @@ def character_table_json(n: int) -> str:
     """JSON object with values as a row-major array of decimal strings, laid
     out as json.dumps(..., indent=2) lays it out.  The values are written a
     row at a time, so no string object per cell outlives its row."""
+    import json
     labels = [render_partition(p) for p in partitions_of(n)]
     head = json.dumps({"n": n, "classes": labels, "characters": labels}, indent=2)
     values = '",\n    "'.join('",\n    "'.join(map(str, row)) for row in _rows(n))

@@ -4,10 +4,7 @@ Exit codes: 0 on success (and passing verifications), 1 when a verification
 sweep fails, 2 on usage or parse errors, 3 on any other error.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
 
 from . import blocks, characters, sweeps
@@ -83,6 +80,7 @@ _MAX_N = 30
 def _emit(args, obj, lines) -> int:
     """Print obj as one JSON line under --format json, else the lines; return 0."""
     if args.format == "json":
+        import json
         print(json.dumps(obj))
     else:
         for line in lines:

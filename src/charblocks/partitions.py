@@ -5,10 +5,6 @@ tuple is the unique partition of 0.  All indices in the hook API are 1-based
 so cells read as (row, column).
 """
 
-from __future__ import annotations
-
-from functools import lru_cache
-
 
 def check_partition(parts) -> tuple:
     """Validate and return a partition as a canonical tuple."""
@@ -168,20 +164,25 @@ def add_hooks_of_length(p, length: int):
     return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
 
 
-def e_core(p, e: int):
-    """The e-core: push every abacus bead down its runner as far as it goes.
-    Only runners below the top bead hold beads, so the cost does not grow with e."""
-    p = check_partition(p)
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    mask = _beads(p, len(p))
+def _core_mask(mask, e: int) -> int:
+    """Bead mask of the e-core: push every bead of mask down its runner as far
+    as it goes.  Only runners below the top bead hold beads, so the cost does
+    not grow with e."""
     top = mask.bit_length()
     runner = sum(1 << x for x in range(0, top, e))
     core = 0
     for r in range(min(e, top)):
         k = (mask & (runner << r)).bit_count()
         core |= (runner << r) & ((1 << (r + k * e)) - 1)
-    return _parts(core)
+    return core
+
+
+def e_core(p, e: int):
+    """The e-core: what is left of p once no e-hook remains to remove (_core_mask)."""
+    p = check_partition(p)
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    return _parts(_core_mask(_beads(p, len(p)), e))
 
 
 def e_weight(p, e: int) -> int:
@@ -208,21 +209,20 @@ def is_e_class_regular(p, e: int) -> bool:
     return all(part % e != 0 for part in check_partition(sorted(p, reverse=True)))
 
 
-@lru_cache(maxsize=None)
+_PARTITIONS = [((),)]  # _PARTITIONS[m] is partitions_of(m), for each m built so far
+
+
 def partitions_of(n: int):
-    """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last."""
+    """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last.
+
+    Sizes are built once, smallest first: those of m are (k,) + rest for k from
+    m down to 1, over the partitions rest of m - k with first part at most k."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(_gen_partitions(n, n))
-
-
-def _gen_partitions(n, max_part):
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - k, k):
-            yield (k,) + rest
+    for m in range(len(_PARTITIONS), n + 1):
+        _PARTITIONS.append(tuple((k,) + rest for k in range(m, 0, -1)
+                                 for rest in _PARTITIONS[m - k] if not rest or rest[0] <= k))
+    return _PARTITIONS[n]
 
 
 def dominance_leq(a, b) -> bool:

@@ -7,9 +7,6 @@ conjectural behaviour) always report "pass" and carry their observations in
 the rows instead.
 """
 
-from __future__ import annotations
-
-import json
 from functools import partial
 from itertools import chain, combinations
 
@@ -41,6 +38,7 @@ class SweepReport:
         return self.verdict == "pass"
 
     def to_json(self, meta: bool = True) -> str:
+        import json
         obj = {
             "params": self.params,
             "rows": self.rows,

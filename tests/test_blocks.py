@@ -134,11 +134,17 @@ class TestBlockPartitions:
                         nu for nu in partitions_of(n) if greedy_core(nu, e) == b.core
                     ]
 
-    @pytest.mark.parametrize("e,n", [(2, 0), (3, 0), (1, 4), (1, 1), (2, -1)])
+    # S_0 has no block and a negative n no partition; e = 1 is the whole
+    # character table, not a block sweep.
+    DEGENERATE = {(2, 0): "block must live in S_n with n >= 1",
+                  (3, 0): "block must live in S_n with n >= 1",
+                  (1, 4): "block enumeration needs e >= 2",
+                  (1, 1): "block enumeration needs e >= 2",
+                  (2, -1): "n must be non-negative"}
+
+    @pytest.mark.parametrize("e,n", list(DEGENERATE))
     def test_blocks_of_rejects_degenerate(self, e, n):
-        # S_0 has no block and a negative n no partition; e = 1 is the whole
-        # character table, not a block sweep.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=self.DEGENERATE[e, n]):
             blocks_of(e, n)
 
 

@@ -377,9 +377,17 @@ class TestStartup:
     def test_one_job_loads_no_pool_dataclasses_or_datetime(self):
         loaded = self.probe(*self.ARGV)
         assert "charblocks.sweeps" in loaded
+        assert "json" in loaded
         unused = {"concurrent.futures.process", "multiprocessing", "dataclasses",
                   "inspect", "datetime"}
         assert not unused & loaded
+
+    @pytest.mark.parametrize("argv", [("table", "--n", "4", "--format", "csv"),
+                                      ("core", "--e", "2", "1")])
+    def test_plain_output_loads_no_json_or_future(self, argv):
+        loaded = self.probe(*argv)
+        assert "charblocks.cli" in loaded
+        assert not {"json", "__future__"} & loaded
 
     def test_csv_table_loads_no_csv_module(self):
         loaded = self.probe("table", "--n", "4", "--format", "csv")

@@ -261,7 +261,7 @@ class TestEnumeration:
     def test_counts_match_recurrence(self):
         # p(n) via Euler's pentagonal-number recurrence
         p = [1]
-        for n in range(1, 16):
+        for n in range(1, 31):
             total = 0
             k = 1
             while True:
@@ -276,11 +276,12 @@ class TestEnumeration:
                     total += sign * p[n - g2]
                 k += 1
             p.append(total)
-        for n in range(16):
+        assert p[30] == 5604
+        for n in range(31):
             assert len(partitions_of(n)) == p[n]
 
     def test_reverse_lex_order(self):
-        for n in range(1, 10):
+        for n in range(1, 23):
             ps = partitions_of(n)
             assert ps[0] == (n,)
             assert ps[-1] == (1,) * n
