@@ -162,38 +162,40 @@ def character_table(n: int):
     return [list(row) for row in _rows(n)]
 
 
-def character_table_text(n: int) -> str:
-    """Aligned plain text with class labels as header and character labels
-    as first column, every cell right-justified to one width."""
+def character_table_text(n: int) -> None:
+    """Print aligned plain text with class labels as header and character
+    labels as first column, every cell right-justified to one width."""
     labels = [render_partition(p) for p in partitions_of(n)]
     width = max([len(s) for s in labels] + [5])
-    lines = [" " * width + "  " + "  ".join(s.rjust(width) for s in labels)]
+    print(" " * width + "  " + "  ".join(s.rjust(width) for s in labels))
     for label, row in zip(labels, _rows(n)):
-        lines.append(label.rjust(width) + "  " + "  ".join(str(v).rjust(width) for v in row))
-    return "\n".join(lines)
+        print(label.rjust(width) + "  " + "  ".join(str(v).rjust(width) for v in row))
 
 
-def character_table_csv(n: int) -> str:
-    """CSV with class labels as header and character labels as first column,
-    every field quoted and every line ended by a newline.  No label or value
-    holds a quote, so none needs escaping.  One %-format writes a row's values."""
+def character_table_csv(n: int) -> None:
+    """Print CSV with class labels as header and character labels as first
+    column, every field quoted.  No label or value holds a quote, so none
+    needs escaping.  One %-format writes a row's values."""
     labels = [render_partition(p) for p in partitions_of(n)]
-    row_text = '","'.join(["%d"] * len(labels)) + '"\n'
-    lines = ['"' + '","'.join([""] + labels) + '"\n']
+    row_text = '","'.join(["%d"] * len(labels)) + '"'
+    print('"' + '","'.join([""] + labels) + '"')
     for label, row in zip(labels, _rows(n)):
-        lines.append('"' + label + '","' + row_text % row)
-    return "".join(lines)
+        print('"' + label + '","' + row_text % row)
 
 
-def character_table_json(n: int) -> str:
-    """JSON object with values as a row-major array of decimal strings, laid
-    out as json.dumps(..., indent=2) lays it out.  The values are written a
-    row at a time, so no string object per cell outlives its row."""
-    import json
-    labels = [render_partition(p) for p in partitions_of(n)]
-    head = json.dumps({"n": n, "classes": labels, "characters": labels}, indent=2)
-    values = '",\n    "'.join('",\n    "'.join(map(str, row)) for row in _rows(n))
-    return head[:-2] + ',\n  "values": [\n    "' + values + '"\n  ]\n}'
+def character_table_json(n: int) -> None:
+    """Print a JSON object with values as a row-major array of decimal
+    strings, laid out as json.dumps(..., indent=2) lays it out.  No label
+    holds a quote or backslash, so none needs escaping."""
+    labels = '",\n    "'.join(render_partition(p) for p in partitions_of(n))
+    print('{\n  "n": %d,' % n)
+    for key in ("classes", "characters"):
+        print('  "%s": [\n    "%s"\n  ],' % (key, labels))
+    sep = '  "values": [\n'
+    for row in _rows(n):
+        print(sep + '    "' + '",\n    "'.join(map(str, row)) + '"', end="")
+        sep = ",\n"
+    print("\n  ]\n}")
 
 
 def chi_bar_coeffs(phi, length: int, n: int) -> dict:

@@ -138,11 +138,9 @@ def _cmd_extremal(args) -> int:
 def _cmd_table(args) -> int:
     if args.n < 0 or args.n > _MAX_N:
         raise ValueError(f"table size must be between 0 and {_MAX_N}")
-    table = {"plain": characters.character_table_text,
-             "csv": characters.character_table_csv,
-             "json": characters.character_table_json}[args.format](args.n)
-    # The CSV writer already ends every row with a newline.
-    print(table, end="" if args.format == "csv" else "\n")
+    {"plain": characters.character_table_text,
+     "csv": characters.character_table_csv,
+     "json": characters.character_table_json}[args.format](args.n)
     return 0
 
 

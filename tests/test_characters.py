@@ -147,14 +147,16 @@ class TestCharacterTable:
         degrees = [table[i][ps.index((1, 1, 1, 1))] for i in range(len(ps))]
         assert degrees == [1, 3, 2, 3, 1]
 
-    def test_csv_shape(self):
-        text = character_table_csv(4)
+    def test_csv_shape(self, capsys):
+        character_table_csv(4)
+        text = capsys.readouterr().out
         lines = text.strip().split("\n")
         assert len(lines) == 6
         assert lines[0].startswith('"","4","3,1"')
 
-    def test_json_round_trip(self):
-        obj = json.loads(character_table_json(4))
+    def test_json_round_trip(self, capsys):
+        character_table_json(4)
+        obj = json.loads(capsys.readouterr().out)
         assert obj["n"] == 4
         assert obj["classes"] == [render_partition(p) for p in partitions_of(4)]
         assert len(obj["values"]) == 25

@@ -10,6 +10,10 @@ import pytest
 
 from charblocks.cli import main
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -157,6 +161,37 @@ class TestTable:
         obj = json.loads(out)
         assert obj["n"] == 3
         assert obj["values"] == ["1", "1", "1", "-1", "0", "2", "1", "-1", "1"]
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_rows_are_written_as_they_are_made(self, monkeypatch, fmt):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["table", "--n", "12", "--format", fmt]) == 0
+        golden = GOLDEN_DIR / f"table-{fmt}-12.out"
+        assert "".join(writes).encode() == golden.read_bytes()
+        # A write holds one line of plain or csv.  Of json it holds at most one
+        # label list or one character's values: p(12) = 77 lines and brackets.
+        lines = 77 + 2 if fmt == "json" else 1
+        longest = max(map(len, golden.read_text().splitlines()))
+        assert max(map(len, writes)) <= lines * longest
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_closed_stdout_exits_3(self, fmt):
+        # At n = 15 every format prints more than a 64 KB pipe holds.
+        proc = subprocess.Popen([sys.executable, "-m", "charblocks.cli", "table", "--n", "15",
+                                 "--format", fmt], env=SRC_ENV,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3
+        assert err == b"error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 class TestVerify:
@@ -367,9 +402,7 @@ class TestStartup:
             "--no-meta")
 
     def probe(self, *argv):
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-               "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=SRC_ENV,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return set(proc.stderr.split())
