@@ -185,13 +185,12 @@ def character_table_csv(n: int) -> None:
 
 def character_table_json(n: int) -> None:
     """Print a JSON object with values as a row-major array of decimal
-    strings, laid out as json.dumps(..., indent=2) lays it out.  No label
-    holds a quote or backslash, so none needs escaping."""
-    labels = '",\n    "'.join(render_partition(p) for p in partitions_of(n))
-    print('{\n  "n": %d,' % n)
-    for key in ("classes", "characters"):
-        print('  "%s": [\n    "%s"\n  ],' % (key, labels))
-    sep = '  "values": [\n'
+    strings, laid out as json.dumps(..., indent=2) lays it out, a row at a time."""
+    import json
+    labels = [render_partition(p) for p in partitions_of(n)]
+    head = json.dumps({"n": n, "classes": labels, "characters": labels}, indent=2)
+    print(head[:-2] + ',\n  "values": [')
+    sep = ""
     for row in _rows(n):
         print(sep + '    "' + '",\n    "'.join(map(str, row)) + '"', end="")
         sep = ",\n"

@@ -5,6 +5,7 @@ sweep fails, 2 on usage or parse errors, 3 on any other error.
 """
 
 import argparse
+import os
 import sys
 
 from . import blocks, characters, sweeps
@@ -189,13 +190,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # A reader that closed stdout early shows on this flush, not at exit.
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # Anything else is a fault, not a usage error or a failed check.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # What stdout still holds goes to devnull; else the flush at exit
+            # fails again and makes the exit status 120.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
 

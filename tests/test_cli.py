@@ -171,21 +171,30 @@ class TestTable:
                 writes.append(text)
                 return len(text)
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(["table", "--n", "12", "--format", fmt]) == 0
         golden = GOLDEN_DIR / f"table-{fmt}-12.out"
         assert "".join(writes).encode() == golden.read_bytes()
-        # A write holds one line of plain or csv.  Of json it holds at most one
-        # label list or one character's values: p(12) = 77 lines and brackets.
-        lines = 77 + 2 if fmt == "json" else 1
+        # A write holds one line of plain or csv.  Of json it holds at most the
+        # header, whose two label lists take 2 * p(12) + 6 lines, or one row.
+        lines = 2 * 77 + 6 if fmt == "json" else 1
         longest = max(map(len, golden.read_text().splitlines()))
         assert max(map(len, writes)) <= lines * longest
 
-    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_closed_stdout_exits_3(self, fmt):
-        # At n = 15 every format prints more than a 64 KB pipe holds.
-        proc = subprocess.Popen([sys.executable, "-m", "charblocks.cli", "table", "--n", "15",
-                                 "--format", fmt], env=SRC_ENV,
+    @pytest.mark.parametrize("argv", [
+        ("table", "--n", "15", "--format", "plain"),
+        ("table", "--n", "15", "--format", "csv"),
+        ("table", "--n", "15", "--format", "json"),
+        ("verify", "theorem1", "--max-n", "14", "--format", "json", "--no-meta"),
+    ], ids=["table-plain", "table-csv", "table-json", "verify-json"])
+    def test_closed_stdout_exits_3(self, argv):
+        # Each command prints more than a 64 KB pipe holds.  stdout is block
+        # buffered, as a shell pipe leaves it, so bytes are still held at exit.
+        env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "charblocks.cli", *argv], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.read(10)
         proc.stdout.close()
