@@ -191,8 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
-        # A reader that closed stdout early shows on this flush, not at exit.
-        sys.stdout.flush()
+        sys.stdout.flush()  # a reader that closed stdout early shows here, not at exit
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -201,8 +200,7 @@ def main(argv=None) -> int:
         # Anything else is a fault, not a usage error or a failed check.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError):
-            # What stdout still holds goes to devnull; else the flush at exit
-            # fails again and makes the exit status 120.
+            # What stdout holds goes to devnull, or the flush at exit fails (status 120).
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
