@@ -30,7 +30,6 @@ from .blocks import (
     count_matrix,
     extremal_lambda,
     min_c_over_regular,
-    opposite_sign_partner,
 )
 from .sweeps import (
     SweepReport,

@@ -8,7 +8,7 @@ fixed conjugacy class.
 
 from collections import namedtuple
 
-from .characters import _columns, chi_bar_coeffs, column
+from .characters import _columns, column
 from .partitions import (
     _beads,
     _core_mask,
@@ -128,39 +128,6 @@ def min_c_over_regular(b: BlockId):
     best = min(filter(None, counts), default=None)
     argmin = None if best is None else classes[counts.index(best)]
     return best, argmin, [lam for lam, c in zip(classes, counts) if c == 0]
-
-
-def opposite_sign_partner(psi, phi, b: BlockId, lam):
-    """A block member whose signed contribution to the hook-addition virtual
-    character of phi cancels against that of psi.
-
-    psi must have non-zero character value on lam and arise from phi by adding
-    a hook of length divisible by e.  Among valid partners the canonically
-    first (reverse-lex) is returned; failure to find one would contradict the
-    vanishing of the virtual character and raises.
-    """
-    psi = check_partition(psi)
-    phi = check_partition(phi)
-    lam = check_partition(sorted(lam, reverse=True))
-    length = sum(psi) - sum(phi)
-    if length <= 0 or length % b.e != 0:
-        raise ValueError("psi must arise from phi by adding a hook of length divisible by e")
-    signs = chi_bar_coeffs(phi, length, sum(psi))
-    if psi not in signs:
-        raise ValueError(f"{psi} is not a single-hook addition of {phi}")
-    if sum(psi) != sum(lam):
-        raise ValueError(f"|nu|={sum(psi)} but |lambda|={sum(lam)}")
-    col = column(lam)
-    if psi not in col:
-        raise ValueError("psi must have non-zero character value on lam")
-    psi_term = signs[psi] * col[psi]
-    for beta, sign in signs.items():
-        term = sign * col.get(beta, 0)
-        if term != 0 and (term > 0) != (psi_term > 0):
-            return beta
-    raise RuntimeError(
-        "no opposite-sign partner found; the virtual character did not vanish"
-    )
 
 
 def blocks_of(e: int, n: int) -> dict:

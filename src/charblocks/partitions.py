@@ -46,7 +46,7 @@ def parse_partition(text: str):
 
 
 def _parse_int(s: str) -> int:
-    if not s.isdigit():
+    if not s.isdecimal():
         raise ValueError(f"bad integer {s!r} in partition literal")
     return int(s)
 
@@ -140,16 +140,22 @@ def _moves(mask, t: int, add: bool):
     return out
 
 
+def _hooks_of_length(p, length: int, add: bool):
+    """Every single rim hook of the given length added to p if add, else
+    removed, as (partition, leg) pairs in descending order (that of the masks)."""
+    p = check_partition(p)
+    if length < 1:
+        raise ValueError("hook length must be >= 1")
+    moves = _moves(_beads(p, len(p) + length if add else len(p)), length, add)
+    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
+
+
 def remove_hooks_of_length(p, length: int):
     """All single rim-hook removals of the given length, as (partition, leg) pairs.
 
     On the abacus a removal slides one bead down by the length.
     """
-    p = check_partition(p)
-    if length < 1:
-        raise ValueError("hook length must be >= 1")
-    moves = _moves(_beads(p, len(p)), length, False)
-    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
+    return _hooks_of_length(p, length, False)
 
 
 def add_hooks_of_length(p, length: int):
@@ -157,11 +163,7 @@ def add_hooks_of_length(p, length: int):
 
     On the abacus an addition slides one bead up by the length.
     """
-    p = check_partition(p)
-    if length < 1:
-        raise ValueError("hook length must be >= 1")
-    moves = _moves(_beads(p, len(p) + length), length, True)
-    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
+    return _hooks_of_length(p, length, True)
 
 
 def _core_mask(mask, e: int) -> int:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the beta-set machinery of the library: hooks are
 removed by walking the rim of the Young diagram cell by cell, cores by greedy
-stripping, and characters by an uncached recursion consuming the class parts
-smallest first.
+stripping, characters by an uncached recursion consuming the class parts
+smallest first, and block sizes and block counts by generating-function
+series in plain integers.
 """
 
 from charblocks.partitions import conjugate, hook_lengths, partitions_of
@@ -69,3 +70,30 @@ def mn_ascending(nu, lam):
     for smaller, leg in rim_walk_removals_of_length(nu, t):
         total += (-1) ** leg * mn_ascending(smaller, rest)
     return total
+
+
+def multipartition_counts(e, w_max):
+    """[k(e, 0), ..., k(e, w_max)], k(e, w) the coefficient of x^w in
+    prod_k (1 - x^k)^(-e): the number of e-multipartitions of w, which is the
+    size of an e-block of weight w (James-Kerber 2.7)."""
+    c = [1] + [0] * w_max
+    for _ in range(e):
+        for k in range(1, w_max + 1):  # times 1 / (1 - x^k)
+            for i in range(k, w_max + 1):
+                c[i] += c[i - k]
+    return c
+
+
+def core_counts(e, m_max):
+    """The number of e-cores of each m = 0..m_max: the coefficient of x^m in
+    prod_k (1 - x^(ek))^e / (1 - x^k) (James-Kerber 2.7), which is the
+    number of weight-w e-blocks of S_n when m = n - we."""
+    c = [1] + [0] * m_max
+    for k in range(1, m_max + 1):  # times 1 / (1 - x^k)
+        for i in range(k, m_max + 1):
+            c[i] += c[i - k]
+    for k in range(e, m_max + 1, e):  # times (1 - x^k)^e
+        for _ in range(e):
+            for i in range(m_max, k - 1, -1):
+                c[i] -= c[i - k]
+    return c

@@ -1,7 +1,9 @@
 import concurrent.futures
 import pickle
 import tracemalloc
+from collections import Counter
 from functools import partial
+from operator import mul
 
 import pytest
 
@@ -13,13 +15,13 @@ from charblocks.blocks import (
     count_matrix,
     extremal_lambda,
     min_c_over_regular,
-    opposite_sign_partner,
 )
-from charblocks.characters import _columns, char_value, column
+from charblocks.characters import _columns, char_value, chi_bar_coeffs, column
 from charblocks.partitions import (
     e_core,
     is_e_class_regular,
     partitions_of,
+    remove_hooks_of_length,
 )
 from charblocks import blocks, sweeps
 from charblocks.sweeps import (
@@ -31,7 +33,7 @@ from charblocks.sweeps import (
     verify_remark2,
     verify_theorem1,
 )
-from oracles import brute_force_additions, greedy_core
+from oracles import brute_force_additions, core_counts, greedy_core, multipartition_counts
 
 
 class TestBlockId:
@@ -133,6 +135,65 @@ class TestBlockPartitions:
                     assert members == [
                         nu for nu in partitions_of(n) if greedy_core(nu, e) == b.core
                     ]
+
+    @staticmethod
+    def census_mismatches(e, n, blocks):
+        """The blocks, {BlockId: members}, whose size is not k(e, weight), and
+        the weights whose number of blocks is not the number of e-cores of
+        n - weight*e, with what was found."""
+        sizes = multipartition_counts(e, n // e)
+        cores = core_counts(e, n)
+        weights = Counter(b.weight for b in blocks)
+        return ([(b, len(members)) for b, members in blocks.items()
+                 if len(members) != sizes[b.weight]]
+                + [(w, weights[w]) for w in range(n // e + 1)
+                   if weights[w] != cores[n - w * e]])
+
+    def test_sizes_and_counts_match_generating_functions(self):
+        for n in range(1, 21):
+            for e in range(2, n + 1):
+                assert self.census_mismatches(e, n, blocks_of(e, n)) == [], (e, n)
+
+    def test_census_catches_merged_blocks(self):
+        blocks = blocks_of(3, 10)
+        first, second = list(blocks)[:2]
+        blocks[first] = blocks[first] + blocks.pop(second)
+        assert (first, len(blocks[first])) in self.census_mismatches(3, 10, blocks)
+
+    @staticmethod
+    def nonorthogonal(n, e, groups, columns):
+        """How many (group, e-regular class lam, e-singular class mu) triples
+        have a non-zero sum of chi^nu(lam) chi^nu(mu) over the group's members
+        nu; columns is {class: column} as _columns yields them."""
+        where = {nu: j for j, nu in enumerate(partitions_of(n))}
+        regular = [col for lam, col in columns.items() if is_e_class_regular(lam, e)]
+        singular = [col for lam, col in columns.items() if not is_e_class_regular(lam, e)]
+        found = 0
+        for members in groups:
+            at = [where[nu] for nu in members]
+            rows = [[col[j] for j in at] for col in singular]
+            for col in regular:
+                values = [col[j] for j in at]
+                found += sum(1 for row in rows if sum(map(mul, values, row)))
+        return found
+
+    def test_blocks_are_orthogonal(self):
+        # Generalized e-blocks (Kulshammer, Olsson and Robinson, Invent. Math.
+        # 151, 2003): within a block, the values on an e-regular class are
+        # orthogonal to those on an e-singular class.
+        for n in range(1, 15):
+            columns = dict(_columns(partitions_of(n), n))
+            for e in range(2, 6):
+                groups = blocks_of(e, n).values()
+                assert self.nonorthogonal(n, e, groups, columns) == 0, (e, n)
+
+    def test_orthogonality_catches_a_split_block(self):
+        blocks = blocks_of(3, 10)
+        big = max(blocks.values(), key=len)
+        groups = [members for members in blocks.values() if members is not big]
+        groups += [big[::2], big[1::2]]
+        columns = dict(_columns(partitions_of(10), 10))
+        assert self.nonorthogonal(10, 3, groups, columns) > 0
 
     # S_0 has no block and a negative n no partition; e = 1 is the whole
     # character table, not a block sweep.
@@ -272,11 +333,22 @@ class TestMinOverRegular:
                         [lam for lam, c in zip(regular, counts) if c == 0])
 
 
+def opposite_sign_partner(psi, phi, lam):
+    """The first partition in reverse-lex order, among those that phi's signed
+    hook-addition combination reaches, whose term on lam has the opposite sign
+    to psi's term; psi is one of them and not zero on lam."""
+    signs = chi_bar_coeffs(phi, sum(psi) - sum(phi), sum(psi))
+    psi_term = signs[psi] * char_value(psi, lam)
+    return next(beta for beta, sign in signs.items()
+                if sign * char_value(beta, lam) * psi_term < 0)
+
+
 class TestOppositeSignPartner:
+    # The chi-bar combination of phi vanishes on e-regular classes (the
+    # chibar sweep), so psi's term has a partner of the opposite sign.
     def test_examples(self):
-        b = BlockId(e=2, core=(), weight=1)
-        assert opposite_sign_partner((2,), (), b, (1, 1)) == (1, 1)
-        assert opposite_sign_partner((1, 1), (), b, (1, 1)) == (2,)
+        assert opposite_sign_partner((2,), (), (1, 1)) == (1, 1)
+        assert opposite_sign_partner((1, 1), (), (1, 1)) == (2,)
 
     def test_partner_properties_and_injectivity(self):
         for e in (2, 3):
@@ -292,12 +364,8 @@ class TestOppositeSignPartner:
                                 continue
                             partners = {}
                             for k in range(1, b.weight + 1):
-                                from charblocks.partitions import (
-                                    remove_hooks_of_length,
-                                )
-
                                 for phi, _ in remove_hooks_of_length(psi, k * e):
-                                    beta = opposite_sign_partner(psi, phi, b, lam)
+                                    beta = opposite_sign_partner(psi, phi, lam)
                                     assert beta != psi
                                     assert e_core(beta, e) == b.core
                                     assert char_value(beta, lam) != 0
@@ -306,16 +374,6 @@ class TestOppositeSignPartner:
                             # distinct removals give distinct partners
                             vals = list(partners.values())
                             assert len(vals) == len(set(vals))
-
-    def test_precondition_errors(self):
-        b = BlockId(e=2, core=(), weight=1)
-        with pytest.raises(ValueError):
-            # hook length 1 is not divisible by e=2
-            opposite_sign_partner((2,), (1,), b, (1, 1))
-        with pytest.raises(ValueError):
-            # character value of psi on lam is zero
-            b2 = BlockId(e=2, core=(), weight=2)
-            opposite_sign_partner((2, 1, 1), (2,), b2, (3, 1))
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from charblocks import (
     e_core,
     is_e_class_regular,
     is_e_core,
-    opposite_sign_partner,
 )
 from charblocks.partitions import remove_hooks_of_length
 
@@ -38,10 +37,6 @@ LABEL_ENTRIES = [
     ("CharEngine.char_value", lambda p: CharEngine().char_value(p, (2, 1))),
     ("char_degree", char_degree),
     ("chi_bar_coeffs", lambda p: chi_bar_coeffs(p, 1, 4)),
-    ("opposite_sign_partner.psi",
-     lambda p: opposite_sign_partner(p, (1,), BlockId(e=2, core=(1,), weight=1), (3,))),
-    ("opposite_sign_partner.phi",
-     lambda p: opposite_sign_partner((5,), p, BlockId(e=2, core=(1,), weight=2), (5,))),
     ("e_core", lambda p: e_core(p, 2)),
     ("remove_hooks_of_length", lambda p: remove_hooks_of_length(p, 1)),
     ("add_hooks_of_length", lambda p: add_hooks_of_length(p, 1)),
@@ -58,8 +53,6 @@ CLASS_ENTRIES = [
     ("CharEngine.char_value", lambda p: CharEngine().char_value((2, 1), p)),
     ("centralizer_order", centralizer_order),
     ("c_mu", lambda p: c_mu(BlockId(e=2, core=(1,), weight=1), p)),
-    ("opposite_sign_partner.lam",
-     lambda p: opposite_sign_partner((3,), (1,), BlockId(e=2, core=(1,), weight=1), p)),
     ("is_e_class_regular", lambda p: is_e_class_regular(p, 2)),
 ]
 
@@ -84,8 +77,7 @@ def test_rejects_malformed_partition(call, bad):
     lambda: char_value((2, 1), (2, 2)),
     lambda: chi_bar_coeffs((1,), 2, 2),
     lambda: c_mu(BlockId(e=2, core=(1,), weight=1), (2, 2)),
-    lambda: opposite_sign_partner((3,), (1,), BlockId(e=2, core=(1,), weight=1), (2, 2)),
-], ids=["char_value", "chi_bar_coeffs", "c_mu", "opposite_sign_partner"])
+], ids=["char_value", "chi_bar_coeffs", "c_mu"])
 def test_rejects_size_mismatch(call):
     with pytest.raises(ValueError):
         call()

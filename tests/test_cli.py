@@ -47,6 +47,10 @@ class TestCore:
         assert code == 2
         assert "error" in err
 
+    def test_non_decimal_digit_exit_2(self, capsys):
+        code, out, err = run(capsys, "core", "--e", "2", "²")
+        assert (code, out, err) == (2, "", "error: bad integer '²' in partition literal\n")
+
     def test_e_below_one_exit_2(self, capsys):
         code, out, err = run(capsys, "core", "--e", "0", "3")
         assert (code, out, err) == (2, "", "error: e must be >= 1\n")

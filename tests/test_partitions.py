@@ -41,6 +41,14 @@ class TestParseRender:
         with pytest.raises(ValueError):
             parse_partition(text)
 
+    def test_only_decimal_digits_are_integers(self):
+        # '²' and '①' pass str.isdigit but int() rejects them; the
+        # Arabic-Indic '٣' is a decimal digit, which int() reads as 3.
+        for text in ("²", "3^①"):
+            with pytest.raises(ValueError, match="bad integer"):
+                parse_partition(text)
+        assert parse_partition("٣,1") == (3, 1)
+
     def test_render(self):
         assert render_partition(()) == "-"
         assert render_partition((2, 2, 2, 1)) == "2^3,1"
