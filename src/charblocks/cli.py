@@ -4,9 +4,9 @@ Exit codes: 0 on success (and passing verifications), 1 when a verification
 sweep fails, 2 on usage or parse errors, 3 on any other error.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import blocks, characters, sweeps
 from .partitions import (
@@ -27,51 +27,6 @@ def _parse_e_range(text: str):
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return list(range(lo, hi + 1))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="charblocks",
-        description="Exact character combinatorics of symmetric-group e-blocks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("core", help="e-core and e-weight of a partition")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("partition")
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
-
-    p = sub.add_parser("char", help="irreducible character value")
-    p.add_argument("--nu", required=True, help="character label")
-    p.add_argument("--class", dest="cls", required=True, help="class label")
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
-
-    for name, help_text in (("count", "non-zero character count of a block on a class"),
-                            ("block", "list the partitions of a block"),
-                            ("extremal", "constructed class attaining count w+1")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--core", required=True)
-        p.add_argument("--weight", type=int, required=True)
-        if name == "count":
-            p.add_argument("--class", dest="cls", required=True)
-        p.add_argument("--format", choices=["plain", "json"], default="plain")
-
-    p = sub.add_parser("table", help="full character table of S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
-
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("sweep", choices=list(_SWEEPS))
-    p.add_argument("--e", default=argparse.SUPPRESS, help="e value or inclusive range a..b")
-    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--max-size", type=int, default=argparse.SUPPRESS,
-                   help="size bound for lemma1")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
-    p.add_argument("--no-meta", action="store_true", help="omit timestamp from JSON")
-
-    return parser
 
 
 # Largest n of table, count, block and extremal, which enumerate partitions of n.
@@ -186,11 +141,166 @@ _HANDLERS = {
 }
 
 
+# An option's default in _COMMANDS: a value, or one of these markers.
+_REQUIRED = object()  # the command refuses to run without the option
+_UNSET = object()  # no attribute unless given: verify's sweep options
+
+_FORMAT = ("format", ("plain", "json"), "plain", "output format")
+_BLOCK_OPTIONS = {
+    "--e": ("e", int, _REQUIRED, "the e of the block"),
+    "--core": ("core", str, _REQUIRED, "the block's e-core, a partition literal"),
+    "--weight": ("weight", int, _REQUIRED, "the block's e-weight"),
+}
+
+# Each command: its help line, its positionals as (name, kind, help), and its
+# options as {flag: (dest, kind, default, help)}.  A kind is int, str, a tuple
+# of the values allowed, or bool for a flag that takes no value.
+_COMMANDS = {
+    "core": ("e-core and e-weight of a partition",
+             (("partition", str, "a partition literal"),),
+             {"--e": ("e", int, _REQUIRED, "the e of the e-core"), "--format": _FORMAT}),
+    "char": ("irreducible character value", (), {
+        "--nu": ("nu", str, _REQUIRED, "character label"),
+        "--class": ("cls", str, _REQUIRED, "class label"),
+        "--format": _FORMAT}),
+    "count": ("non-zero character count of a block on a class", (), {
+        **_BLOCK_OPTIONS,
+        "--class": ("cls", str, _REQUIRED, "class label"),
+        "--format": _FORMAT}),
+    "block": ("list the partitions of a block", (), {**_BLOCK_OPTIONS, "--format": _FORMAT}),
+    "extremal": ("constructed class attaining count w+1", (),
+                 {**_BLOCK_OPTIONS, "--format": _FORMAT}),
+    "table": ("full character table of S_n", (), {
+        "--n": ("n", int, _REQUIRED, f"the n of S_n, 0 to {_MAX_N}"),
+        "--format": ("format", ("plain", "csv", "json"), "plain", "output format")}),
+    "verify": ("run a verification sweep", (("sweep", tuple(_SWEEPS), "the sweep to run"),), {
+        "--e": ("e", str, _UNSET,
+                f"e value or inclusive range a..b (default {_SWEEP_OPTIONS['e']})"),
+        "--max-n": ("max_n", int, _UNSET, f"largest n (default {_SWEEP_OPTIONS['max_n']})"),
+        "--max-size": ("max_size", int, _UNSET,
+                       f"size bound for lemma1 (default {_SWEEP_OPTIONS['max_size']})"),
+        "--jobs": ("jobs", int, 1, "worker processes"),
+        "--format": _FORMAT,
+        "--no-meta": ("no_meta", bool, False, "omit timestamp from JSON")}),
+}
+_HELP = dict.fromkeys(("-h", "--help"), ("help", bool, False, None))
+
+
+def _match(flag: str, options: dict):
+    """The option that flag names, exactly or as the prefix of only one, or None."""
+    if flag in options:
+        return flag
+    names = [name for name in options if name.startswith(flag)]
+    if len(names) > 1:
+        raise ValueError(f"{flag} is ambiguous: {' or '.join(names)}")
+    return names[0] if names else None
+
+
+def _convert(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
+    return text
+
+
+def _help(command=None) -> str:
+    """The command list, or the usage of one command."""
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        return "\n".join([
+            "usage: charblocks COMMAND [OPTIONS]", "",
+            "Exact character combinatorics of symmetric-group e-blocks.", "", "commands:",
+            *(f"  {name:{width}}  {text}" for name, (text, _, _) in _COMMANDS.items()), "",
+            "`charblocks COMMAND --help` lists the options of one command."])
+    text, positionals, options = _COMMANDS[command]
+    usage, rows = [], []
+    for name, kind, help_text in positionals:
+        usage.append(name.upper())
+        rows.append((name.upper(), f"{help_text}: {', '.join(kind)}"
+                     if isinstance(kind, tuple) else help_text))
+    for flag, (dest, kind, default, help_text) in options.items():
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
+        label = flag if kind is bool else f"{flag} {metavar}"
+        usage.append(label if default is _REQUIRED else f"[{label}]")
+        if default not in (_REQUIRED, _UNSET) and kind is not bool:
+            help_text += f" (default {default})"
+        rows.append((label, help_text))
+    rows.append(("-h, --help", "print this help"))
+    width = max(len(label) for label, _ in rows)
+    return "\n".join([f"usage: charblocks {command} {' '.join(usage)}", "", text, "",
+                      *(f"  {label:{width}}  {help_text}" for label, help_text in rows)])
+
+
+def parse_args(argv):
+    """The command named by argv[0] and its arguments, as a namespace.
+
+    Options come before or after the positionals, as `--opt value` or
+    `--opt=value`, and may be shortened to a prefix that only one of the
+    command's options has; the last occurrence wins.  After `--` every token
+    is a positional.  `-h` or `--help` prints help on stdout and returns None.
+    A usage error raises ValueError.
+    """
+    if argv and (argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0])):
+        print(_help())
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        given = f", got {argv[0]!r}" if argv else ""
+        raise ValueError(f"the command must be one of {', '.join(_COMMANDS)}{given}")
+    command, *tokens = argv
+    _, positionals, options = _COMMANDS[command]
+    args = SimpleNamespace(command=command)
+    for dest, _, default, _ in options.values():
+        if default not in (_REQUIRED, _UNSET):
+            setattr(args, dest, default)
+    pending, unexpected, only_positionals = list(positionals), [], False
+    tokens = iter(tokens)
+    for token in tokens:
+        if only_positionals or token == "-" or not token.startswith("-"):
+            if not pending:
+                unexpected.append(token)
+                continue
+            name, kind, _ = pending.pop(0)
+            setattr(args, name, _convert(name, kind, token))
+        elif token == "--":
+            only_positionals = True
+        else:
+            given, eq, value = token.partition("=")
+            flag = _match(given, {**options, **_HELP})
+            if flag is None:
+                unexpected.append(token)
+                continue
+            dest, kind, _, _ = options.get(flag) or _HELP[flag]
+            if kind is bool and eq:
+                raise ValueError(f"{flag} takes no value")
+            if dest == "help":
+                print(_help(command))
+                return None
+            if kind is bool:
+                setattr(args, dest, True)
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise ValueError(f"{flag} needs a value")
+            setattr(args, dest, _convert(flag, kind, value))
+    if unexpected:
+        raise ValueError(f"{command} does not take {unexpected[0]!r}")
+    missing = [flag for flag, (dest, _, default, _) in options.items()
+               if default is _REQUIRED and not hasattr(args, dest)]
+    missing += [name.upper() for name, _, _ in pending]
+    if missing:
+        raise ValueError(f"{command} needs {', '.join(missing)}")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = 0 if args is None else _HANDLERS[args.command](args)
         sys.stdout.flush()  # a reader that closed stdout early shows here, not at exit
         return code
     except ValueError as exc:

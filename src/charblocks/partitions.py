@@ -46,9 +46,12 @@ def parse_partition(text: str):
 
 
 def _parse_int(s: str) -> int:
-    if not s.isdecimal():
-        raise ValueError(f"bad integer {s!r} in partition literal")
-    return int(s)
+    if s.isdecimal():
+        try:
+            return int(s)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"bad integer {s!r} in partition literal")
 
 
 def render_partition(p) -> str:

@@ -51,6 +51,16 @@ class TestCore:
         code, out, err = run(capsys, "core", "--e", "2", "²")
         assert (code, out, err) == (2, "", "error: bad integer '²' in partition literal\n")
 
+    def test_oversized_part_exit_2(self, capsys):
+        # int() refuses a string of more than 4,300 digits.
+        part = "9" * 5000
+        code, out, err = run(capsys, "core", "--e", "2", part)
+        assert (code, out, err) == (2, "", f"error: bad integer {part!r} in partition literal\n")
+
+    def test_empty_partition_positional(self, capsys):
+        code, out, err = run(capsys, "core", "--e", "2", "-")
+        assert (code, out, err) == (0, "core: -\nweight: 0\n", "")
+
     def test_e_below_one_exit_2(self, capsys):
         code, out, err = run(capsys, "core", "--e", "0", "3")
         assert (code, out, err) == (2, "", "error: e must be >= 1\n")
@@ -244,9 +254,10 @@ class TestVerify:
                                      "True", "True"]
 
     def test_usage_error_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "nonsense"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "verify", "nonsense")
+        assert (code, out) == (2, "")
+        assert err == ("error: sweep must be one of theorem1, dichotomy, lemma1, remark1, "
+                       "remark2, chibar, rowstructure, got 'nonsense'\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -294,6 +305,63 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: jobs must be >= 1\n"
+
+
+_COMMANDS = "core, char, count, block, extremal, table, verify"
+_BIG = "9" * 5000
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv,message", [
+        ((), f"the command must be one of {_COMMANDS}"),
+        (("tabel", "--n", "4"), f"the command must be one of {_COMMANDS}, got 'tabel'"),
+        (("verify", "theorem2"), "sweep must be one of theorem1, dichotomy, lemma1, remark1, "
+                                 "remark2, chibar, rowstructure, got 'theorem2'"),
+        (("count", "--e", "2", "--core", "-", "--weight", "1"), "count needs --class"),
+        (("core", "--e", "2"), "core needs PARTITION"),
+        (("table", "--n", "four"), "--n must be an integer, got 'four'"),
+        (("table", "--n", _BIG), f"--n must be an integer, got {_BIG!r}"),
+        (("table", "--n", "4", "--format", "xml"),
+         "--format must be one of plain, csv, json, got 'xml'"),
+        (("verify", "theorem1", "--max", "4"), "--max is ambiguous: --max-n or --max-size"),
+        (("table", "--n", "4", "--rows", "3"), "table does not take '--rows'"),
+        (("table", "--n"), "--n needs a value"),
+        (("core", "--e", "2", "3,1", "2"), "core does not take '2'"),
+        (("verify", "theorem1", "--no-meta=1"), "--no-meta takes no value"),
+    ], ids=["no-command", "unknown-command", "unknown-sweep", "missing-option",
+            "missing-positional", "non-integer", "oversized-integer", "not-a-choice",
+            "ambiguous-prefix", "unknown-option", "no-value", "extra-positional",
+            "flag-with-value"])
+    def test_one_error_line_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("--he",)])
+    def test_help_names_every_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        for command in _COMMANDS.split(", "):
+            assert f"\n  {command} " in out
+
+    @pytest.mark.parametrize("argv,names", [
+        (("core", "--help"), ["PARTITION", "--e", "--format"]),
+        (("char", "-h"), ["--nu", "--class", "--format"]),
+        (("count", "--help"), ["--e", "--core", "--weight", "--class", "--format"]),
+        (("block", "--help"), ["--e", "--core", "--weight", "--format"]),
+        (("extremal", "--help"), ["--e", "--core", "--weight", "--format"]),
+        (("table", "--help"), ["--n", "--format"]),
+        (("verify", "--help"), ["SWEEP", "--e", "--max-n", "--max-size", "--jobs",
+                                "--format", "--no-meta", "theorem1", "dichotomy", "lemma1",
+                                "remark1", "remark2", "chibar", "rowstructure"]),
+        # Help comes before the errors that later tokens would give.
+        (("verify", "--help", "nonsense", "--jobs", "x"), ["SWEEP", "--no-meta"]),
+    ])
+    def test_command_help_names_every_option(self, capsys, argv, names):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: charblocks {argv[0]} ")
+        for name in names:
+            assert name in out
 
 
 class TestFailedVerification:
@@ -439,6 +507,14 @@ class TestStartup:
         loaded = self.probe("table", "--n", "4", "--format", "csv")
         assert "charblocks.characters" in loaded
         assert "csv" not in loaded
+
+    @pytest.mark.parametrize("argv", [("core", "--e", "2", "1"),
+                                      ("table", "--n", "4", "--format", "csv"), ARGV],
+                             ids=["core", "table-csv", "verify"])
+    def test_loads_no_argparse_gettext_or_locale(self, argv):
+        loaded = self.probe(*argv)
+        assert "charblocks.cli" in loaded
+        assert not {"argparse", "gettext", "locale"} & loaded
 
     def test_two_jobs_load_the_process_pool(self):
         loaded = self.probe(*self.ARGV, "--jobs", "2")

@@ -77,6 +77,32 @@ def test_matches_golden(name):
     assert code == json.loads(EXIT_CODES.read_text())[name]
 
 
+# Other spellings of golden cases that the CLI's grammar accepts: `--opt=value`,
+# unique option prefixes, options before the positional, `--` before it, a
+# repeated option (the last one wins) and a non-ASCII decimal digit.
+SPELLINGS = [
+    ("table-csv", ("table", "--n=6", "--format=csv")),
+    ("table-csv", ("table", "--n", "6", "--form", "csv")),
+    ("table-csv", ("table", "--format", "csv", "--n", "6")),
+    ("table-csv", ("table", "--n", "4", "--format", "json", "--n", "6", "--format", "csv")),
+    ("table-csv", ("table", "--n", "\u0666", "--format", "csv")),
+    ("core-plain", ("core", "10,2,1,1,1", "--e=3")),
+    ("core-plain", ("core", "--e", "3", "--", "10,2,1,1,1")),
+    ("count", ("count", "--cl", "2^3,1", "--w", "1", "--cor=2,1", "--e", "4", "--f", "json")),
+    ("verify-theorem1", ("verify", "--max-n", "8", "--e", "2..5", "theorem1", "--format",
+                         "json", "--no-meta")),
+    ("verify-lemma1", ("verify", "lemma1", "--max-s", "7", "--form=json", "--no-m")),
+]
+
+
+@pytest.mark.parametrize("name,argv", SPELLINGS, ids=[" ".join(a) for _, a in SPELLINGS])
+def test_other_spellings_match_golden(name, argv):
+    assert CASES[name] != argv
+    out, code = run_cli(argv)
+    assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
 def test_every_case_has_goldens_and_every_golden_a_case():
     outs = {p.stem for p in GOLDEN_DIR.glob("*.out")}
     codes = set(json.loads(EXIT_CODES.read_text()))
