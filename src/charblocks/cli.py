@@ -183,6 +183,7 @@ _COMMANDS = {
         "--format": _FORMAT,
         "--no-meta": ("no_meta", bool, False, "omit timestamp from JSON")}),
 }
+# -h and --help, matched like a command's own flags.
 _HELP = dict.fromkeys(("-h", "--help"), ("help", bool, False, None))
 
 
@@ -252,6 +253,7 @@ def parse_args(argv):
         raise ValueError(f"the command must be one of {', '.join(_COMMANDS)}{given}")
     command, *tokens = argv
     _, positionals, options = _COMMANDS[command]
+    flags = {**options, **_HELP}
     args = SimpleNamespace(command=command)
     for dest, _, default, _ in options.values():
         if default not in (_REQUIRED, _UNSET):
@@ -269,11 +271,11 @@ def parse_args(argv):
             only_positionals = True
         else:
             given, eq, value = token.partition("=")
-            flag = _match(given, {**options, **_HELP})
+            flag = _match(given, flags)
             if flag is None:
                 unexpected.append(token)
                 continue
-            dest, kind, _, _ = options.get(flag) or _HELP[flag]
+            dest, kind, _, _ = flags[flag]
             if kind is bool and eq:
                 raise ValueError(f"{flag} takes no value")
             if dest == "help":
