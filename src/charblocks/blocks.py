@@ -10,9 +10,11 @@ from collections import namedtuple
 
 from .characters import _columns, column
 from .partitions import (
+    _bead_masks,
     _beads,
     _core_mask,
     _parts,
+    _runner,
     check_partition,
     diagonal_hooks,
     is_e_class_regular,
@@ -56,7 +58,8 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")  # flags 0/1 -> the digits of int(...,
 def block_partitions(b: BlockId):
     """All partitions of b.n with the block's e-core, in enumeration order."""
     core = _beads(b.core, b.n)  # an e-core's beads are already pushed down
-    return [nu for nu in partitions_of(b.n) if _core_mask(_beads(nu, b.n), b.e) == core]
+    return [nu for nu, mask in zip(partitions_of(b.n), _bead_masks(b.n))
+            if _core_mask(mask, b.e) == core]
 
 
 def c_mu(b: BlockId, lam) -> CountReport:
@@ -135,10 +138,19 @@ def blocks_of(e: int, n: int) -> dict:
     in reverse core order: one block per e-core among the partitions of n."""
     if e < 2:
         raise ValueError("block enumeration needs e >= 2")
-    groups = {}
-    for nu in partitions_of(n):
-        groups.setdefault(_core_mask(_beads(nu, n), e), []).append(nu)
-    # On n beads, mask order is core order.
-    cores = {_parts(mask): groups[mask] for mask in sorted(groups, reverse=True)}
-    return {BlockId(e=e, core=core, weight=(n - sum(core)) // e): members
-            for core, members in cores.items()}
+    masks = _bead_masks(n)
+    if n < 1:
+        raise ValueError("block must live in S_n with n >= 1")
+    # A mask's e-core depends only on how many beads each runner holds, and on
+    # n beads every bead lies below position 2n.
+    runner = _runner(2 * n, e)
+    runners = [runner << r for r in range(min(e, 2 * n))]
+    groups = {}  # runner counts -> (the first mask that has them, members)
+    for mask, nu in zip(masks, partitions_of(n)):
+        key = tuple([(mask & r).bit_count() for r in runners])
+        groups.setdefault(key, (mask, []))[1].append(nu)
+    # On n beads, mask order is core order.  _core_mask builds each core, so
+    # it is an e-core and BlockId._make skips BlockId's checks.
+    cores = sorted((_core_mask(mask, e), members) for mask, members in groups.values())
+    named = ((_parts(core), members) for core, members in reversed(cores))
+    return {BlockId._make((e, core, (n - sum(core)) // e)): members for core, members in named}

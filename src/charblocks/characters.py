@@ -13,14 +13,14 @@ chi^.(lam); char_value removes hooks from one nu, largest part first.
 Many classes of one n: _columns walks them as ascending part tuples, so
 classes that share their smallest parts share the hook additions for those
 parts, and each state is a dense list over partitions_of(size) that steps
-through a move table built once per (size, part) within the call.  It is
-unchecked, for partitions the library built; public functions check
-arguments once, on entry.
+through the move table of (size, part).  It is unchecked, for partitions the
+library built; public functions check arguments once, on entry.
 """
 
 from math import factorial
 
 from .partitions import (
+    _bead_masks,
     _beads,
     _moves,
     _parts,
@@ -52,33 +52,34 @@ def column(lam) -> dict:
     return {_parts(m): c for m, c in states.items()}
 
 
+_POSITIONS = {}  # size -> {bead mask on size beads: position in partitions_of(size)}
+_TABLES = {}  # (size, t) -> per position of partitions_of(size), (even-leg, odd-leg) targets
+
+
+def _table(size: int, t: int) -> tuple:
+    """For each partition of size, the positions in partitions_of(size + t) that
+    adding a t-hook reaches with even and with odd leg; built once per process."""
+    key = (size, t)
+    if key not in _TABLES:
+        if size + t not in _POSITIONS:
+            _POSITIONS[size + t] = {m: i for i, m in enumerate(_bead_masks(size + t))}
+        to = _POSITIONS[size + t]
+        below = (1 << t) - 1  # t more beads under the partition
+        rows = []
+        for m in _bead_masks(size):
+            even, odd = [], []
+            for q, leg in _moves(m << t | below, t, True):
+                (odd if leg & 1 else even).append(to[q])
+            rows.append((tuple(even), tuple(odd)))
+        _TABLES[key] = tuple(rows)
+    return _TABLES[key]
+
+
 def _columns(classes, n: int):
     """Yield (lam, col) for each class lam of S_n (partition tuples in
     descending order, unchecked), col being [chi^nu(lam) for nu in
     partitions_of(n)], in walk order: ascending part tuples in
-    lexicographic order.  Each prefix's state is built once.  Every bead
-    mask lies on n beads, which hold any partition of a size up to n."""
-    where = {}  # size -> {n-bead mask: position in partitions_of(size)}
-    tables = {}  # (size, part) -> per position, (even-leg, odd-leg) targets
-
-    def positions(size):
-        if size not in where:
-            where[size] = {_beads(p, n): i for i, p in enumerate(partitions_of(size))}
-        return where[size]
-
-    def table(size, t):
-        key = (size, t)
-        if key not in tables:
-            to = positions(size + t)
-            moves = []
-            for m in positions(size):
-                even, odd = [], []
-                for q, leg in _moves(m, t, True):
-                    (odd if leg & 1 else even).append(to[q])
-                moves.append((tuple(even), tuple(odd)))
-            tables[key] = moves
-        return tables[key]
-
+    lexicographic order.  Each prefix's state is built once."""
     path = ()  # ascending parts walked so far; stack[k] is (size, state) after k of them
     stack = [(0, [1])]
     for asc, lam in sorted((lam[::-1], lam) for lam in classes):
@@ -89,7 +90,7 @@ def _columns(classes, n: int):
         for t in asc[k:]:
             size, state = stack[-1]
             nxt = [0] * len(partitions_of(size + t))
-            for c, (even, odd) in zip(state, table(size, t)):
+            for c, (even, odd) in zip(state, _table(size, t)):
                 if c:
                     for j in even:
                         nxt[j] += c

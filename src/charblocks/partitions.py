@@ -169,16 +169,23 @@ def add_hooks_of_length(p, length: int):
     return _hooks_of_length(p, length, True)
 
 
+def _runner(top: int, e: int) -> int:
+    """Mask of the positions 0, e, 2e, ... below top, a geometric series of
+    k = ceil(top / e) terms in 2^e; a k of 0 or 1 is the mask, whatever e."""
+    k = -(-top // e)
+    return ((1 << e * k) - 1) // ((1 << e) - 1) if k > 1 else k
+
+
 def _core_mask(mask, e: int) -> int:
     """Bead mask of the e-core: push every bead of mask down its runner as far
-    as it goes.  Only runners below the top bead hold beads, so the cost does
-    not grow with e."""
+    as it goes.  Only runners below the top bead hold beads, and no int is
+    longer than the mask, so the cost does not grow with e."""
     top = mask.bit_length()
-    runner = sum(1 << x for x in range(0, top, e))
+    runner = _runner(top, e)
     core = 0
     for r in range(min(e, top)):
         k = (mask & (runner << r)).bit_count()
-        core |= (runner << r) & ((1 << (r + k * e)) - 1)
+        core |= (runner << r) & ((1 << min(r + k * e, top)) - 1)
     return core
 
 
@@ -215,6 +222,7 @@ def is_e_class_regular(p, e: int) -> bool:
 
 
 _PARTITIONS = [((),)]  # _PARTITIONS[m] is partitions_of(m), for each m built so far
+_BEAD_MASKS = [(0,)]  # _BEAD_MASKS[m] is _bead_masks(m), for each m built so far
 
 
 def partitions_of(n: int):
@@ -228,6 +236,15 @@ def partitions_of(n: int):
         _PARTITIONS.append(tuple((k,) + rest for k in range(m, 0, -1)
                                  for rest in _PARTITIONS[m - k] if not rest or rest[0] <= k))
     return _PARTITIONS[n]
+
+
+def _bead_masks(n: int) -> tuple:
+    """The bead masks of partitions_of(n) on n beads, in that order, each built
+    once per process."""
+    partitions_of(n)
+    for m in range(len(_BEAD_MASKS), n + 1):
+        _BEAD_MASKS.append(tuple(_beads(p, m) for p in _PARTITIONS[m]))
+    return _BEAD_MASKS[n]
 
 
 def dominance_leq(a, b) -> bool:

@@ -131,7 +131,10 @@ class TestBlockPartitions:
                 found = blocks_of(e, n)
                 assert [b.core for b in found] == cores
                 for b, members in found.items():
-                    assert b.weight == (n - sum(b.core)) // e
+                    # blocks_of names its blocks without BlockId's checks.
+                    checked = BlockId(e, b.core, (n - sum(b.core)) // e)
+                    assert type(b) is BlockId and repr(b) == repr(checked)
+                    assert b == checked and hash(b) == hash(checked)
                     assert members == [
                         nu for nu in partitions_of(n) if greedy_core(nu, e) == b.core
                     ]

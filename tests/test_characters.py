@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from charblocks import characters
 from charblocks.characters import (
     _columns,
     centralizer_order,
@@ -127,6 +128,19 @@ class TestBatchColumns:
         # classes sharing their smallest parts come out together
         walked = [lam for lam, _ in _columns(partitions_of(5), 5)]
         assert walked == sorted(partitions_of(5), key=lambda lam: lam[::-1])
+
+    def test_move_tables_are_kept_across_n(self):
+        # The tables live for the process and do not depend on the walk's n:
+        # walks at a larger, a smaller and the same n read the same ones.
+        for n in (12, 7, 0, 12, 9):
+            ps = partitions_of(n)
+            for lam, col in _columns(ps, n):
+                single = column(lam)
+                assert col == [single.get(nu, 0) for nu in ps]
+            kept = len(characters._TABLES), len(characters._POSITIONS)
+            for _ in _columns(ps, n):
+                pass
+            assert (len(characters._TABLES), len(characters._POSITIONS)) == kept
 
 
 class TestCharacterTable:

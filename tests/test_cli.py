@@ -57,6 +57,15 @@ class TestCore:
         code, out, err = run(capsys, "core", "--e", "2", part)
         assert (code, out, err) == (2, "", f"error: bad integer {part!r} in partition literal\n")
 
+    @pytest.mark.parametrize("part", ["10000001", "9" * 40])
+    def test_size_past_limit_exit_2(self, capsys, part):
+        code, out, err = run(capsys, "core", "--e", "2", part)
+        assert (code, out, err) == (2, "", "error: partition size must be at most 10000000\n")
+
+    def test_size_at_limit_runs(self, capsys):
+        code, out, err = run(capsys, "core", "--e", "2", "10000000")
+        assert (code, out, err) == (0, "core: -\nweight: 5000000\n", "")
+
     def test_empty_partition_positional(self, capsys):
         code, out, err = run(capsys, "core", "--e", "2", "-")
         assert (code, out, err) == (0, "core: -\nweight: 0\n", "")
@@ -79,6 +88,12 @@ class TestChar:
     def test_size_mismatch_exit_2(self, capsys):
         code, _, _ = run(capsys, "char", "--nu", "3", "--class", "2,2")
         assert code == 2
+
+    @pytest.mark.parametrize("option", ["--nu", "--class"])
+    def test_size_past_limit_exit_2(self, capsys, option):
+        args = {"--nu": "3", "--class": "3", option: "9" * 40}
+        code, out, err = run(capsys, "char", *[x for kv in args.items() for x in kv])
+        assert (code, out, err) == (2, "", "error: partition size must be at most 10000000\n")
 
     def test_deep_class_single_value(self, capsys):
         # 1500 class parts: the evaluation is iterative, so no depth limit.

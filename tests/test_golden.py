@@ -60,6 +60,9 @@ CASES = {
     "verify-remark1-wide": ("verify", "remark1", "--e", "6..9", "--max-n", "10"),
     "verify-theorem1-wide": ("verify", "theorem1", "--e", "6..12", "--max-n", "10"),
     "verify-dichotomy-wide": ("verify", "dichotomy", "--e", "6..12", "--max-n", "10"),
+    # Every e from 2 to n: the singleton (weight-0) blocks of e > n/2 in JSON.
+    "verify-theorem1-wide-json": ("verify", "theorem1", "--e", "2..12", "--max-n", "12",
+                                  "--format", "json", "--no-meta"),
 }
 
 

@@ -1,8 +1,10 @@
 import pytest
 
 from charblocks.partitions import (
+    _bead_masks,
     _beads,
     _parts,
+    _runner,
     add_hooks_of_length,
     conjugate,
     diagonal_hooks,
@@ -133,6 +135,17 @@ class TestBetaSets:
                     assert mask.bit_count() == b
                     assert _parts(mask) == p
 
+    def test_bead_masks_follow_partitions_of(self):
+        for n in (12, 0, 5, 12):
+            assert _bead_masks(n) == tuple(_beads(p, n) for p in partitions_of(n))
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            _bead_masks(-1)
+
+    def test_runner_closed_form(self):
+        for e in range(1, 8):
+            for top in range(0, 30):
+                assert _runner(top, e) == sum(1 << x for x in range(0, top, e))
+
 
 class TestHookRemoval:
     def test_examples(self):
@@ -204,8 +217,15 @@ class TestCores:
                     assert e_core(p, e) == greedy_core(p, e)
 
     def test_cost_does_not_grow_with_e(self):
+        # No int longer than the bead mask is built, whatever e.
         assert e_core((3, 1), 10**9) == (3, 1)
         assert e_weight((3, 1), 10**9) == 0
+        assert e_core((3, 1), 10**30) == (3, 1)
+
+    def test_long_runner(self):
+        # One bead a million positions up: the runner is built in closed form.
+        assert e_core((10**6 + 1,), 2) == (1,)
+        assert e_weight((10**6,), 2) == 500000
 
     def test_core_is_fixed_point(self):
         for n in range(9):
