@@ -63,6 +63,14 @@ CASES = {
     # Every e from 2 to n: the singleton (weight-0) blocks of e > n/2 in JSON.
     "verify-theorem1-wide-json": ("verify", "theorem1", "--e", "2..12", "--max-n", "12",
                                   "--format", "json", "--no-meta"),
+    # chibar up to n = 12, where phi and the classes share long part prefixes.
+    "verify-chibar-12": ("verify", "chibar", "--max-n", "12", "--format", "json",
+                         "--no-meta"),
+    # e = 1: the block is every partition of n.
+    "block-e1": ("block", "--e", "1", "--core", "-", "--weight", "6"),
+    "count-e1": ("count", "--e", "1", "--core", "-", "--weight", "6", "--class", "3,2,1"),
+    # A block of S_20 on a class of repeated parts.
+    "count-n20": ("count", "--e", "3", "--core", "2", "--weight", "6", "--class", "5^4"),
 }
 
 
