@@ -8,10 +8,9 @@ fixed conjugacy class.
 
 from collections import namedtuple
 
-from .characters import _columns, column
+from .characters import _columns
 from .partitions import (
     _bead_masks,
-    _beads,
     _core_mask,
     _parts,
     _runner,
@@ -56,10 +55,9 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")  # flags 0/1 -> the digits of int(...,
 
 
 def block_partitions(b: BlockId):
-    """All partitions of b.n with the block's e-core, in enumeration order."""
-    core = _beads(b.core, b.n)  # an e-core's beads are already pushed down
-    return [nu for nu, mask in zip(partitions_of(b.n), _bead_masks(b.n))
-            if _core_mask(mask, b.e) == core]
+    """All partitions of b.n with the block's e-core, in enumeration order:
+    for e = 1 every partition of b.n, else the block's members in blocks_of."""
+    return list(partitions_of(b.n)) if b.e == 1 else blocks_of(b.e, b.n)[b]
 
 
 def c_mu(b: BlockId, lam) -> CountReport:
@@ -67,8 +65,9 @@ def c_mu(b: BlockId, lam) -> CountReport:
     lam = check_partition(sorted(lam, reverse=True))
     if sum(lam) != b.n:
         raise ValueError(f"|lambda| = {sum(lam)} != block n = {b.n}")
-    col = column(lam)
-    witnesses = [nu for nu in block_partitions(b) if nu in col]
+    (_, col), = _columns([lam], b.n)
+    members = set(block_partitions(b))
+    witnesses = [nu for nu, c in zip(partitions_of(b.n), col) if c and nu in members]
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
 
 

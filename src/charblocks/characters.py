@@ -3,18 +3,19 @@
 Values are plain Python ints, so they are exact at any size.  Bit x of a bead
 mask is a bead at abacus position x (partitions._beads).
 
-One class: _mn_sum carries a {bead mask: coefficient} map through the signed
-rim-hook moves of one class part at a time, with no memo and no recursion.
-column(lam) adds hooks to the empty partition on n = |lam| beads, smallest
-part first: the Schur expansion of p_lam (Macdonald, Symmetric Functions and
-Hall Polynomials, I.3 Ex. 11 and I.7), whose coefficients are the column
-chi^.(lam); char_value removes hooks from one nu, largest part first.
+Columns: _columns adds hooks to the empty partition, smallest class part
+first: the Schur expansion of p_lam (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3 Ex. 11 and I.7), whose coefficients are the column
+chi^.(lam).  It walks the classes as ascending part tuples, so classes that
+share their smallest parts share the hook additions for those parts, and each
+state is a dense list over partitions_of(size) that steps through the move
+table of (size, part).  Every column, of one class or of many, comes from it.
+It is unchecked, for partitions the library built; public functions check
+arguments once, on entry.
 
-Many classes of one n: _columns walks them as ascending part tuples, so
-classes that share their smallest parts share the hook additions for those
-parts, and each state is a dense list over partitions_of(size) that steps
-through the move table of (size, part).  It is unchecked, for partitions the
-library built; public functions check arguments once, on entry.
+One value: char_value carries a {bead mask: coefficient} map from one nu
+through the signed rim-hook removals of each class part, largest first, with
+no memo and no recursion.
 """
 
 from math import factorial
@@ -23,7 +24,6 @@ from .partitions import (
     _bead_masks,
     _beads,
     _moves,
-    _parts,
     check_partition,
     hook_lengths,
     add_hooks_of_length,
@@ -32,33 +32,15 @@ from .partitions import (
 )
 
 
-def _mn_sum(states: dict, parts, add: bool) -> dict:
-    """Carry {bead mask: coefficient} through the moves of one bead by each
-    part t in turn (up if add, else down), signed by (-1)^leg; zero
-    coefficients are dropped."""
-    for t in parts:
-        nxt = {}
-        for m, c in states.items():
-            for q, leg in _moves(m, t, add):
-                nxt[q] = nxt.get(q, 0) + (-c if leg & 1 else c)
-        states = {q: c for q, c in nxt.items() if c}
-    return states
-
-
-def column(lam) -> dict:
-    """{nu: chi^nu(lam)}, non-zero values only, for one class lam, a partition
-    tuple in descending order (unchecked)."""
-    states = _mn_sum({(1 << sum(lam)) - 1: 1}, reversed(lam), True)
-    return {_parts(m): c for m, c in states.items()}
-
-
 _POSITIONS = {}  # size -> {bead mask on size beads: position in partitions_of(size)}
 _TABLES = {}  # (size, t) -> per position of partitions_of(size), (even-leg, odd-leg) targets
 
 
 def _table(size: int, t: int) -> tuple:
     """For each partition of size, the positions in partitions_of(size + t) that
-    adding a t-hook reaches with even and with odd leg; built once per process."""
+    adding a t-hook reaches with even and with odd leg; built once per process.
+    Row i holds the signs of chi_bar_coeffs(partitions_of(size)[i], t, size + t):
+    +1 at the even-leg positions, -1 at the odd."""
     key = (size, t)
     if key not in _TABLES:
         if size + t not in _POSITIONS:
@@ -103,13 +85,20 @@ def _columns(classes, n: int):
 
 def char_value(nu, lam) -> int:
     """The value of the irreducible character labeled nu on the class lam: rim
-    hooks are removed from nu, largest class part first."""
+    hooks are removed from nu, largest class part first, each signed by
+    (-1)^leg."""
     nu = check_partition(nu)
     lam = check_partition(sorted(lam, reverse=True))
     if sum(nu) != sum(lam):
         raise ValueError(f"|nu|={sum(nu)} but |lambda|={sum(lam)}")
-    empty = (1 << len(nu)) - 1
-    return _mn_sum({_beads(nu, len(nu)): 1}, lam, False).get(empty, 0)
+    states = {_beads(nu, len(nu)): 1}
+    for t in lam:
+        nxt = {}
+        for m, c in states.items():
+            for q, leg in _moves(m, t, False):
+                nxt[q] = nxt.get(q, 0) + (-c if leg & 1 else c)
+        states = {q: c for q, c in nxt.items() if c}  # zero coefficients are dropped
+    return states.get((1 << len(nu)) - 1, 0)  # the empty partition's beads
 
 
 class CharEngine:

@@ -11,7 +11,7 @@ from functools import partial
 from itertools import chain, combinations
 
 from .blocks import blocks_of, count_matrix, extremal_lambda
-from .characters import _columns, chi_bar_coeffs
+from .characters import _columns, _table
 from .partitions import (
     diagonal_hooks,
     dominance_leq,
@@ -243,26 +243,21 @@ def lemma1_sweep(m_max: int, jobs: int = 1) -> SweepReport:
 # Vanishing of the signed hook-addition combinations
 
 
-def _decoded_columns(classes, n: int) -> dict:
-    """{lam: {nu: chi^nu(lam)}} over the non-zero values, for each class in
-    the order of classes."""
-    ps = partitions_of(n)
-    columns = dict(_columns(classes, n))
-    return {lam: {nu: c for nu, c in zip(ps, columns[lam]) if c} for lam in classes}
-
-
 def _chibar_rows(n: int):
-    columns = _decoded_columns(partitions_of(n), n)
+    # Row i of _table(n - length, length) holds the signs of the combination
+    # for the i-th phi: +1 at its even-leg positions, -1 at its odd.
+    ps = partitions_of(n)
+    columns = dict(_columns(ps, n))
     failures = []
     checked = 0
     for length in range(1, n + 1):
-        for phi in partitions_of(n - length):
-            coeffs = chi_bar_coeffs(phi, length, n)
-            for lam, col in columns.items():
+        for phi, (even, odd) in zip(partitions_of(n - length), _table(n - length, length)):
+            for lam in ps:
                 if length in lam:
                     continue
                 checked += 1
-                if sum(c * col.get(beta, 0) for beta, c in coeffs.items()) != 0:
+                col = columns[lam]
+                if sum(col[j] for j in even) != sum(col[j] for j in odd):
                     failures.append(
                         {
                             "n": n,
@@ -300,17 +295,18 @@ def _rowstructure_rows(e_values, n: int):
     classes = {extremal_lambda(b) for b in blocks}
     if n >= 2:
         classes.add((n - 1, 1))
-    columns = _decoded_columns(classes, n)
+    ps = partitions_of(n)
+    nonzero = {lam: {nu for nu, c in zip(ps, col) if c} for lam, col in _columns(classes, n)}
     if n >= 2:
-        ok = set(columns[n - 1, 1]) == _near_hook_set(n)
+        ok = nonzero[n - 1, 1] == _near_hook_set(n)
         rows.append({"check": "near_hooks", "n": n, "ok": ok})
     for b, members in blocks.items():
         lam = extremal_lambda(b)
-        col = columns[lam]
+        support = nonzero[lam]
         we = b.weight * b.e
-        ext_ok = all((b.core[0] + d,) + b.core[1:] + (1,) * (we - d) in col
+        ext_ok = all((b.core[0] + d,) + b.core[1:] + (1,) * (we - d) in support
                      for d in range(we + 1))
-        dom_ok = all(dominance_leq(lam, diagonal_hooks(nu)) for nu in members if nu in col)
+        dom_ok = all(dominance_leq(lam, diagonal_hooks(nu)) for nu in members if nu in support)
         rows.append({
             "check": "block",
             "e": b.e,

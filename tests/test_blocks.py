@@ -2,7 +2,7 @@ import concurrent.futures
 import pickle
 import tracemalloc
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from operator import mul
 
 import pytest
@@ -16,7 +16,7 @@ from charblocks.blocks import (
     extremal_lambda,
     min_c_over_regular,
 )
-from charblocks.characters import _columns, char_value, chi_bar_coeffs, column
+from charblocks.characters import _columns, char_value, chi_bar_coeffs
 from charblocks.partitions import (
     e_core,
     is_e_class_regular,
@@ -34,6 +34,14 @@ from charblocks.sweeps import (
     verify_theorem1,
 )
 from oracles import brute_force_additions, core_counts, greedy_core, multipartition_counts
+
+
+@cache
+def reference_column(lam):
+    """{nu: chi^nu(lam)} over the non-zero values, from char_value, whose hook
+    removals share nothing with the _columns walk's additions; built once per
+    class."""
+    return {nu: v for nu in partitions_of(sum(lam)) if (v := char_value(nu, lam))}
 
 
 class TestBlockId:
@@ -258,7 +266,7 @@ class TestCount:
             for (b, classes, counts), members in zip(rows, blocks.values()):
                 assert classes == tuple(lam for lam in partitions_of(n)
                                         if is_e_class_regular(lam, b.e) == regular)
-                assert counts == [sum(1 for nu in members if nu in column(lam))
+                assert counts == [sum(1 for nu in members if nu in reference_column(lam))
                                   for lam in classes]
 
     def test_count_matrix_streams_its_rows(self):

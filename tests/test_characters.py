@@ -1,4 +1,5 @@
 import json
+from functools import cache
 from math import factorial
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from charblocks import characters
 from charblocks.characters import (
     _columns,
+    _table,
     centralizer_order,
     char_degree,
     char_value,
@@ -13,11 +15,18 @@ from charblocks.characters import (
     character_table_csv,
     character_table_json,
     chi_bar_coeffs,
-    column,
 )
 from charblocks.partitions import partitions_of, render_partition
 
 from oracles import mn_ascending
+
+
+@cache
+def reference_column(lam):
+    """{nu: chi^nu(lam)} over the non-zero values, from char_value, whose hook
+    removals share nothing with the _columns walk's additions; built once per
+    class."""
+    return {nu: v for nu in partitions_of(sum(lam)) if (v := char_value(nu, lam))}
 
 
 class TestCharValue:
@@ -59,11 +68,11 @@ class TestCharValue:
                     assert char_value(nu, lam) == mn_ascending(nu, lam)
 
     def test_column_matches_ascending_recursion(self):
-        # each column holds exactly the non-zero values of the oracle
+        # a walk over one class gives each value of the oracle
         for n in range(0, 7):
             for lam in partitions_of(n):
-                expected = {nu: mn_ascending(nu, lam) for nu in partitions_of(n)}
-                assert column(lam) == {nu: v for nu, v in expected.items() if v != 0}
+                (_, col), = _columns([lam], n)
+                assert col == [mn_ascending(nu, lam) for nu in partitions_of(n)]
 
 
 class TestDegreesAndOrthogonality:
@@ -113,8 +122,8 @@ class TestDegreesAndOrthogonality:
                 s = sum(w * x * y for w, x, y in zip(weights, a, b))
                 assert s == (order if i == j else 0)
         for m in range(1, 15):
-            identity = column((1,) * m)
-            assert identity == {nu: char_degree(nu) for nu in partitions_of(m)}
+            (_, identity), = _columns([(1,) * m], m)
+            assert identity == [char_degree(nu) for nu in partitions_of(m)]
 
 
 class TestBatchColumns:
@@ -135,7 +144,7 @@ class TestBatchColumns:
         for n in (12, 7, 0, 12, 9):
             ps = partitions_of(n)
             for lam, col in _columns(ps, n):
-                single = column(lam)
+                single = reference_column(lam)
                 assert col == [single.get(nu, 0) for nu in ps]
             kept = len(characters._TABLES), len(characters._POSITIONS)
             for _ in _columns(ps, n):
@@ -191,11 +200,45 @@ class TestChiBar:
         with pytest.raises(ValueError):
             chi_bar_coeffs((1,), 2, 2)
 
+    @staticmethod
+    def signs(row, n):
+        """A move-table row decoded to sorted (partition of n, sign) pairs."""
+        ps = partitions_of(n)
+        even, odd = row
+        return sorted([(ps[j], 1) for j in even] + [(ps[j], -1) for j in odd])
+
+    def test_move_table_rows_are_the_coefficients(self):
+        # verify chibar reads its signs from row phi of _table(n - t, t).
+        for n in range(13):
+            for t in range(1, n + 1):
+                ps = partitions_of(n - t)
+                table = _table(n - t, t)
+                assert len(table) == len(ps)
+                for phi in ps:
+                    assert (self.signs(table[ps.index(phi)], n)
+                            == sorted(chi_bar_coeffs(phi, t, n).items()))
+
+    def test_one_flipped_sign_is_caught(self):
+        # Negative control: moving any one target to the other leg parity
+        # makes the decoded row differ from the coefficients.
+        n, flips = 7, 0
+        for t in range(1, n + 1):
+            for phi, (even, odd) in zip(partitions_of(n - t), _table(n - t, t)):
+                coeffs = sorted(chi_bar_coeffs(phi, t, n).items())
+                for k in range(len(even)):
+                    flipped = (even[:k] + even[k + 1:], odd + (even[k],))
+                    assert self.signs(flipped, n) != coeffs
+                for k in range(len(odd)):
+                    flipped = (even + (odd[k],), odd[:k] + odd[k + 1:])
+                    assert self.signs(flipped, n) != coeffs
+                flips += len(even) + len(odd)
+        assert flips > 0
+
     def test_value_examples(self):
         # The value of a combination on a class is its coefficients read
         # against the class's column, as the chibar sweep computes it.
         def value(phi, length, lam):
-            col = column(lam)
+            col = reference_column(lam)
             return sum(c * col.get(beta, 0)
                        for beta, c in chi_bar_coeffs(phi, length, sum(lam)).items())
 

@@ -439,9 +439,12 @@ class TestFailedVerification:
 
     def test_chibar_failure(self, capsys, monkeypatch):
         from charblocks import sweeps
+        from charblocks.partitions import partitions_of
 
-        # The trivial character alone: its value 1 never cancels.
-        monkeypatch.setattr(sweeps, "chi_bar_coeffs", lambda phi, length, n: {(n,): 1})
+        # The trivial character alone: every phi reaches only position 0 of
+        # partitions_of(n), (n), with even leg, and its value 1 never cancels.
+        monkeypatch.setattr(sweeps, "_table",
+                            lambda size, t: (((0,), ()),) * len(partitions_of(size)))
         code, out, _ = run(capsys, "verify", "chibar", "--max-n", "2",
                            "--format", "json", "--no-meta")
         report = json.loads(out)
