@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 from . import blocks, characters, sweeps
 from .partitions import (
+    _MAX_LITERAL_SIZE,
     e_core,
     e_weight,
     parse_partition,
@@ -30,9 +31,8 @@ def _parse_e_range(text: str):
 
 
 # Largest n of table, count, block and extremal, which enumerate partitions of n.
+# core and char enumerate nothing: they take any literal that parse_partition does.
 _MAX_N = 30
-# Largest n of core and char, whose bead masks take a bit per unit of the largest part.
-_MAX_BEAD_N = 10**7
 
 
 def _emit(args, obj, lines) -> int:
@@ -54,16 +54,8 @@ def _block(args):
     return b, {"e": b.e, "core": render_partition(b.core), "weight": b.weight}
 
 
-def _partition(text):
-    """The partition literal text, whose size must be at most _MAX_BEAD_N."""
-    p = parse_partition(text)
-    if sum(p) > _MAX_BEAD_N:
-        raise ValueError(f"partition size must be at most {_MAX_BEAD_N}")
-    return p
-
-
 def _cmd_core(args) -> int:
-    p = _partition(args.partition)
+    p = parse_partition(args.partition)
     core = render_partition(e_core(p, args.e))
     w = e_weight(p, args.e)
     return _emit(args, {"partition": render_partition(p), "e": args.e, "core": core,
@@ -71,8 +63,8 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    nu = _partition(args.nu)
-    lam = _partition(args.cls)
+    nu = parse_partition(args.nu)
+    lam = parse_partition(args.cls)
     value = characters.char_value(nu, lam)
     return _emit(args, {"nu": render_partition(nu), "class": render_partition(lam),
                         "value": str(value)}, [value])
@@ -167,10 +159,10 @@ _BLOCK_OPTIONS = {
 # of the values allowed, or bool for a flag that takes no value.
 _COMMANDS = {
     "core": ("e-core and e-weight of a partition",
-             (("partition", str, f"a partition literal of size at most {_MAX_BEAD_N}"),),
+             (("partition", str, f"a partition literal of size at most {_MAX_LITERAL_SIZE}"),),
              {"--e": ("e", int, _REQUIRED, "the e of the e-core"), "--format": _FORMAT}),
     "char": ("irreducible character value", (), {
-        "--nu": ("nu", str, _REQUIRED, f"character label, of size at most {_MAX_BEAD_N}"),
+        "--nu": ("nu", str, _REQUIRED, f"character label, of size at most {_MAX_LITERAL_SIZE}"),
         "--class": ("cls", str, _REQUIRED, "class label of the same size"),
         "--format": _FORMAT}),
     "count": ("non-zero character count of a block on a class", (), {

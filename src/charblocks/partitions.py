@@ -18,30 +18,36 @@ def check_partition(parts) -> tuple:
     return p
 
 
+# Largest size of a partition literal; a bead mask of that many bits is 1.25 MB.
+_MAX_LITERAL_SIZE = 10**7
+
+
 def parse_partition(text: str):
-    """Parse a partition literal.
+    """Parse a partition literal of size at most _MAX_LITERAL_SIZE.
 
     Grammar: '-' is the empty partition; otherwise comma-separated items,
     each 'INT' or 'INT^INT' (a part repeated).  Whitespace is ignored and
-    out-of-order parts are sorted into canonical form.
+    out-of-order parts are sorted into canonical form.  The size is checked
+    item by item, before a repeated part is expanded.
     """
     s = "".join(text.split())
     if s == "-":
         return ()
     if not s:
         raise ValueError("empty partition literal (use '-' for the empty partition)")
-    parts = []
+    parts, size = [], 0
     for item in s.split(","):
-        if "^" in item:
-            base_s, _, exp_s = item.partition("^")
-            base, exp = _parse_int(base_s), _parse_int(exp_s)
-            if exp < 1:
-                raise ValueError(f"exponent must be >= 1 in {item!r}")
-            parts.extend([base] * exp)
-        else:
-            parts.append(_parse_int(item))
-    if any(x < 1 for x in parts):
-        raise ValueError(f"parts must be positive: {text!r}")
+        base_s, caret, exp_s = item.partition("^")
+        base = _parse_int(base_s)
+        exp = _parse_int(exp_s) if caret else 1
+        if exp < 1:
+            raise ValueError(f"exponent must be >= 1 in {item!r}")
+        if base < 1:
+            raise ValueError(f"parts must be positive: {text!r}")
+        size += base * exp
+        if size > _MAX_LITERAL_SIZE:
+            raise ValueError(f"partition size must be at most {_MAX_LITERAL_SIZE}")
+        parts.extend([base] * exp)
     return tuple(sorted(parts, reverse=True))
 
 

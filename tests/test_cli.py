@@ -62,6 +62,13 @@ class TestCore:
         code, out, err = run(capsys, "core", "--e", "2", part)
         assert (code, out, err) == (2, "", "error: partition size must be at most 10000000\n")
 
+    @pytest.mark.parametrize("literal", ["1^" + "9" * 40, "1^10000001", "2^5000000,1",
+                                         "5000000,5000001"])
+    def test_size_past_limit_refused_before_expansion_exit_2(self, capsys, literal):
+        # The size is checked item by item, before k^m is expanded into m parts.
+        code, out, err = run(capsys, "core", "--e", "2", literal)
+        assert (code, out, err) == (2, "", "error: partition size must be at most 10000000\n")
+
     def test_size_at_limit_runs(self, capsys):
         code, out, err = run(capsys, "core", "--e", "2", "10000000")
         assert (code, out, err) == (0, "core: -\nweight: 5000000\n", "")
@@ -92,6 +99,12 @@ class TestChar:
     @pytest.mark.parametrize("option", ["--nu", "--class"])
     def test_size_past_limit_exit_2(self, capsys, option):
         args = {"--nu": "3", "--class": "3", option: "9" * 40}
+        code, out, err = run(capsys, "char", *[x for kv in args.items() for x in kv])
+        assert (code, out, err) == (2, "", "error: partition size must be at most 10000000\n")
+
+    @pytest.mark.parametrize("option", ["--nu", "--class"])
+    def test_repeated_part_past_limit_exit_2(self, capsys, option):
+        args = {"--nu": "1", "--class": "1", option: "1^" + "9" * 40}
         code, out, err = run(capsys, "char", *[x for kv in args.items() for x in kv])
         assert (code, out, err) == (2, "", "error: partition size must be at most 10000000\n")
 
@@ -127,6 +140,12 @@ class TestCount:
         obj = json.loads(out)
         assert obj["count"] == 3
         assert obj["witnesses"] == ["4", "2,2", "1^4"]
+
+    @pytest.mark.parametrize("cls", ["1^" + "9" * 40, "10000001"])
+    def test_class_past_limit_exit_2(self, capsys, cls):
+        code, out, err = run(capsys, "count", "--e", "2", "--core", "-", "--weight", "2",
+                             "--class", cls)
+        assert (code, out, err) == (2, "", "error: partition size must be at most 10000000\n")
 
 
 class TestBlockAndExtremal:

@@ -43,6 +43,19 @@ class TestParseRender:
         with pytest.raises(ValueError):
             parse_partition(text)
 
+    @pytest.mark.parametrize("text", ["10000001", "1^" + "9" * 40, "3^3333334", "9999999,2"])
+    def test_size_past_limit(self, text):
+        # Checked item by item, before a repeated part is expanded.
+        with pytest.raises(ValueError, match="^partition size must be at most 10000000$"):
+            parse_partition(text)
+
+    def test_zero_part_refused_before_expansion(self):
+        with pytest.raises(ValueError, match="parts must be positive"):
+            parse_partition("0^" + "9" * 40)
+
+    def test_size_at_limit(self):
+        assert parse_partition("1^3,9999997") == (9999997, 1, 1, 1)
+
     def test_only_decimal_digits_are_integers(self):
         # '²' and '①' pass str.isdigit but int() rejects them; the
         # Arabic-Indic '٣' is a decimal digit, which int() reads as 3.
