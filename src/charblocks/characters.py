@@ -97,7 +97,7 @@ def char_value(nu, lam) -> int:
         for m, c in states.items():
             for q, leg in _moves(m, t, False):
                 nxt[q] = nxt.get(q, 0) + (-c if leg & 1 else c)
-        states = {q: c for q, c in nxt.items() if c}  # zero coefficients are dropped
+        states = {q: c for q, c in nxt.items() if c}
     return states.get((1 << len(nu)) - 1, 0)  # the empty partition's beads
 
 
