@@ -3,6 +3,7 @@ import pickle
 import tracemalloc
 from collections import Counter
 from functools import cache, partial
+from itertools import combinations
 from operator import mul
 
 import pytest
@@ -22,6 +23,7 @@ from charblocks.partitions import (
     is_e_class_regular,
     partitions_of,
     remove_hooks_of_length,
+    render_partition,
 )
 from charblocks import blocks, sweeps
 from charblocks.sweeps import (
@@ -527,6 +529,41 @@ class TestSweeps:
         report = lemma1_sweep(6)
         assert report.passed()
         assert all(r["failures"] == 0 for r in report.rows)
+
+    def test_lemma1_reports_as_the_pair_scan(self, monkeypatch):
+        # With the leg of every result of even size zeroed, many configurations
+        # have an even leg sum.  The sweep reports them as a plain scan over
+        # remove_hooks_of_length does: (delta1, delta2) in partitions_of order,
+        # then (gamma1, gamma2) in descending order of the common results.
+        def even_zeroed(removals):
+            return {q: 0 if sum(q) % 2 == 0 else leg for q, leg in removals}
+
+        removal_map = sweeps._removal_map
+        monkeypatch.setattr(sweeps, "_removal_map",
+                            lambda p: even_zeroed(removal_map(p).items()))
+        rows, failures = [], []
+        for m in range(2, 11):
+            ps = partitions_of(m)
+            maps = {d: even_zeroed(r for h in range(1, m + 1)
+                                   for r in remove_hooks_of_length(d, h)) for d in ps}
+            checked = found = 0
+            for d1, d2 in combinations(ps, 2):
+                common = sorted(maps[d1].keys() & maps[d2].keys(), reverse=True)
+                for g1, g2 in combinations(common, 2):
+                    legs = [maps[d1][g1], maps[d2][g1], maps[d1][g2], maps[d2][g2]]
+                    checked += 1
+                    if sum(legs) % 2 == 0:
+                        found += 1
+                        failures.append({"delta1": render_partition(d1),
+                                         "delta2": render_partition(d2),
+                                         "gamma1": render_partition(g1),
+                                         "gamma2": render_partition(g2), "legs": legs})
+            rows.append({"m": m, "checked": checked, "failures": found})
+        report = lemma1_sweep(10)
+        assert report.rows == rows
+        assert report.counterexamples == failures
+        # Some configurations fail and some pass, at several sizes.
+        assert 500 < len(failures) < sum(r["checked"] for r in rows)
 
     def test_remark1_exploratory(self):
         report = verify_remark1([2], 5)

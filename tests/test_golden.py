@@ -71,6 +71,9 @@ CASES = {
     "count-e1": ("count", "--e", "1", "--core", "-", "--weight", "6", "--class", "3,2,1"),
     # A block of S_20 on a class of repeated parts.
     "count-n20": ("count", "--e", "3", "--core", "2", "--weight", "6", "--class", "5^4"),
+    # lemma1 to m = 12, where results of many sizes share their first parts.
+    "verify-lemma1-12": ("verify", "lemma1", "--max-size", "12", "--format", "json",
+                         "--no-meta"),
 }
 
 
