@@ -32,7 +32,6 @@ from .partitions import (
 )
 
 
-_POSITIONS = {}  # size -> {bead mask on size beads: position in partitions_of(size)}
 _TABLES = {}  # (size, t) -> per position of partitions_of(size), (even-leg, odd-leg) targets
 
 
@@ -43,9 +42,7 @@ def _table(size: int, t: int) -> tuple:
     +1 at the even-leg positions, -1 at the odd."""
     key = (size, t)
     if key not in _TABLES:
-        if size + t not in _POSITIONS:
-            _POSITIONS[size + t] = {m: i for i, m in enumerate(_bead_masks(size + t))}
-        to = _POSITIONS[size + t]
+        to = _bead_masks(size + t)
         below = (1 << t) - 1  # t more beads under the partition
         rows = []
         for m in _bead_masks(size):

@@ -112,11 +112,10 @@ def diagonal_hooks(p):
 def _beads(p, count: int) -> int:
     """Bead mask of p on count >= len(p) beads (James-Kerber, The Representation
     Theory of the Symmetric Group, 2.7): bit p_i + count - i is set for
-    1 <= i <= count, with p_i = 0 past the last part."""
-    mask = (1 << (count - len(p))) - 1
-    for i, x in enumerate(p):
-        mask |= 1 << (x + count - 1 - i)
-    return mask
+    1 <= i <= count, with p_i = 0 past the last part.  Read from the top, it is
+    the rim: a bead per part, then a gap per step down to the next part."""
+    rim = "".join(["1" + "0" * (a - b) for a, b in zip(p, p[1:] + (0,))])
+    return int(rim + "1" * (count - len(p)) or "0", 2)
 
 
 def _parts(mask) -> tuple:
@@ -184,15 +183,14 @@ def _runner(top: int, e: int) -> int:
 
 def _core_mask(mask, e: int) -> int:
     """Bead mask of the e-core: push every bead of mask down its runner as far
-    as it goes.  Only runners below the top bead hold beads, and no int is
-    longer than the mask, so the cost does not grow with e."""
-    top = mask.bit_length()
-    runner = _runner(top, e)
-    core = 0
-    for r in range(min(e, top)):
-        k = (mask & (runner << r)).bit_count()
-        core |= (runner << r) & ((1 << min(r + k * e, top)) - 1)
-    return core
+    as it goes.  Runner r is every e-th digit of the mask from bit r on, so
+    the runners together read each digit once, whatever e."""
+    bits = bin(mask)[:1:-1]  # bit x at index x
+    core = bytearray(b"0" * len(bits))
+    for r in range(min(e, len(bits))):
+        k = bits[r::e].count("1")
+        core[r:r + k * e:e] = b"1" * k
+    return int(core[::-1], 2)
 
 
 def e_core(p, e: int):
@@ -228,7 +226,7 @@ def is_e_class_regular(p, e: int) -> bool:
 
 
 _PARTITIONS = [((),)]  # _PARTITIONS[m] is partitions_of(m), for each m built so far
-_BEAD_MASKS = [(0,)]  # _BEAD_MASKS[m] is _bead_masks(m), for each m built so far
+_BEAD_MASKS = [{0: 0}]  # _BEAD_MASKS[m] is _bead_masks(m), for each m built so far
 
 
 def partitions_of(n: int):
@@ -244,12 +242,12 @@ def partitions_of(n: int):
     return _PARTITIONS[n]
 
 
-def _bead_masks(n: int) -> tuple:
-    """The bead masks of partitions_of(n) on n beads, in that order, each built
-    once per process."""
+def _bead_masks(n: int) -> dict:
+    """{bead mask on n beads: position in partitions_of(n)}, in that order,
+    built once per process; callers must not change it."""
     partitions_of(n)
     for m in range(len(_BEAD_MASKS), n + 1):
-        _BEAD_MASKS.append(tuple(_beads(p, m) for p in _PARTITIONS[m]))
+        _BEAD_MASKS.append({_beads(p, m): i for i, p in enumerate(_PARTITIONS[m])})
     return _BEAD_MASKS[n]
 
 

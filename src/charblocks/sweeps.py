@@ -13,11 +13,12 @@ from itertools import chain, combinations
 from .blocks import blocks_of, count_matrix, extremal_lambda
 from .characters import _columns, _table
 from .partitions import (
+    _bead_masks,
+    _moves,
+    _parts,
     diagonal_hooks,
     dominance_leq,
-    hook_lengths,
     partitions_of,
-    remove_hooks_of_length,
     render_partition,
 )
 
@@ -200,32 +201,33 @@ def verify_remark2(n_max: int, jobs: int = 1) -> SweepReport:
 # Sign lemma for double hook-removal configurations
 
 
-def _removal_map(p):
-    """All single-hook removals of p as {result: leg}.
+def _removal_map(mask):
+    """Every single-hook removal from a bead mask, of every length, as
+    {result mask: leg}.
 
     For a fixed result the removed hook is unique, so the leg is well defined.
     """
-    return {q: leg for h in set(hook_lengths(p).values())
-            for q, leg in remove_hooks_of_length(p, h)}
+    return {q: leg for t in range(1, mask.bit_length()) for q, leg in _moves(mask, t, False)}
 
 
 def _lemma1_rows(m: int):
-    parts = partitions_of(m)
+    # Results are masks on m beads, whose order is partition order across
+    # sizes; only the reported ones are decoded.
     checked = 0
     failures = []
-    maps = {d: _removal_map(d) for d in parts}
-    for d1, d2 in combinations(parts, 2):
-        common = sorted(set(maps[d1]) & set(maps[d2]), reverse=True)
+    maps = [_removal_map(d) for d in _bead_masks(m)]
+    for (d1, map1), (d2, map2) in combinations(zip(partitions_of(m), maps), 2):
+        common = sorted(map1.keys() & map2.keys(), reverse=True)
         for g1, g2 in combinations(common, 2):
-            legs = (maps[d1][g1], maps[d2][g1], maps[d1][g2], maps[d2][g2])
+            legs = (map1[g1], map2[g1], map1[g2], map2[g2])
             checked += 1
-            if (-1) ** sum(legs) != -1:
+            if sum(legs) % 2 == 0:
                 failures.append(
                     {
                         "delta1": render_partition(d1),
                         "delta2": render_partition(d2),
-                        "gamma1": render_partition(g1),
-                        "gamma2": render_partition(g2),
+                        "gamma1": render_partition(_parts(g1)),
+                        "gamma2": render_partition(_parts(g2)),
                         "legs": list(legs),
                     }
                 )

@@ -19,6 +19,7 @@ from charblocks.blocks import (
 )
 from charblocks.characters import _columns, char_value, chi_bar_coeffs
 from charblocks.partitions import (
+    _parts,
     e_core,
     is_e_class_regular,
     partitions_of,
@@ -535,17 +536,17 @@ class TestSweeps:
         # have an even leg sum.  The sweep reports them as a plain scan over
         # remove_hooks_of_length does: (delta1, delta2) in partitions_of order,
         # then (gamma1, gamma2) in descending order of the common results.
-        def even_zeroed(removals):
-            return {q: 0 if sum(q) % 2 == 0 else leg for q, leg in removals}
+        def even_zeroed(removals, size):
+            return {q: 0 if size(q) % 2 == 0 else leg for q, leg in removals}
 
-        removal_map = sweeps._removal_map
-        monkeypatch.setattr(sweeps, "_removal_map",
-                            lambda p: even_zeroed(removal_map(p).items()))
+        removal_map = sweeps._removal_map  # {result bead mask: leg}
+        monkeypatch.setattr(sweeps, "_removal_map", lambda mask: even_zeroed(
+            removal_map(mask).items(), lambda q: sum(_parts(q))))
         rows, failures = [], []
         for m in range(2, 11):
             ps = partitions_of(m)
-            maps = {d: even_zeroed(r for h in range(1, m + 1)
-                                   for r in remove_hooks_of_length(d, h)) for d in ps}
+            maps = {d: even_zeroed((r for h in range(1, m + 1)
+                                    for r in remove_hooks_of_length(d, h)), sum) for d in ps}
             checked = found = 0
             for d1, d2 in combinations(ps, 2):
                 common = sorted(maps[d1].keys() & maps[d2].keys(), reverse=True)

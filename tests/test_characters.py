@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from charblocks import characters
+from charblocks import characters, partitions
 from charblocks.characters import (
     _columns,
     _table,
@@ -146,10 +146,10 @@ class TestBatchColumns:
             for lam, col in _columns(ps, n):
                 single = reference_column(lam)
                 assert col == [single.get(nu, 0) for nu in ps]
-            kept = len(characters._TABLES), len(characters._POSITIONS)
+            kept = len(characters._TABLES), len(partitions._BEAD_MASKS)
             for _ in _columns(ps, n):
                 pass
-            assert (len(characters._TABLES), len(characters._POSITIONS)) == kept
+            assert (len(characters._TABLES), len(partitions._BEAD_MASKS)) == kept
 
 
 class TestCharacterTable:

@@ -3,6 +3,7 @@ import pytest
 from charblocks.partitions import (
     _bead_masks,
     _beads,
+    _core_mask,
     _parts,
     _runner,
     add_hooks_of_length,
@@ -147,7 +148,9 @@ class TestBetaSets:
 
     def test_bead_masks_follow_partitions_of(self):
         for n in (12, 0, 5, 12):
-            assert _bead_masks(n) == tuple(_beads(p, n) for p in partitions_of(n))
+            masks = _bead_masks(n)
+            assert list(masks) == [_beads(p, n) for p in partitions_of(n)]
+            assert list(masks.values()) == list(range(len(partitions_of(n))))
         with pytest.raises(ValueError, match="n must be non-negative"):
             _bead_masks(-1)
 
@@ -236,6 +239,29 @@ class TestCores:
         # One bead a million positions up: the runner is built in closed form.
         assert e_core((10**6 + 1,), 2) == (1,)
         assert e_weight((10**6,), 2) == 500000
+
+    def test_many_runners_and_many_parts(self):
+        # Linear in the mask's length: a million positions on 300,000
+        # runners, and a mask of 200,000 parts.
+        assert e_core((10**6,), 300000) == (100000,)
+        assert e_weight((10**6,), 300000) == 3
+        assert e_core((1,) * 200000, 2) == ()
+
+    def test_core_mask_matches_runner_masks(self):
+        def runner_core(mask, e):
+            # Runner r as a mask: count its beads, keep that many from the bottom.
+            top = mask.bit_length()
+            runner = _runner(top, e)
+            core = 0
+            for r in range(min(e, top)):
+                k = (mask & (runner << r)).bit_count()
+                core |= (runner << r) & ((1 << min(r + k * e, top)) - 1)
+            return core
+
+        for n in range(13):
+            for mask in _bead_masks(n):
+                for e in range(1, 15):
+                    assert _core_mask(mask, e) == runner_core(mask, e)
 
     def test_core_is_fixed_point(self):
         for n in range(9):
