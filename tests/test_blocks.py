@@ -563,7 +563,7 @@ class TestSweeps:
         report = lemma1_sweep(10)
         assert report.rows == rows
         assert report.counterexamples == failures
-        # Some configurations fail and some pass, at several sizes.
+        # Some configurations fail and some pass.
         assert 500 < len(failures) < sum(r["checked"] for r in rows)
 
     def test_remark1_exploratory(self):
