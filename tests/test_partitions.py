@@ -6,7 +6,6 @@ from charblocks.partitions import (
     _core_mask,
     _parts,
     _runner,
-    add_hooks_of_length,
     conjugate,
     diagonal_hooks,
     dominance_leq,
@@ -20,6 +19,7 @@ from charblocks.partitions import (
     remove_hooks_of_length,
     render_partition,
 )
+from charblocks.characters import chi_bar_coeffs
 
 from oracles import brute_force_additions, greedy_core, rim_walk_remove
 
@@ -34,6 +34,7 @@ class TestParseRender:
             ("1,2,3", (3, 2, 1)),
             (" 3 , 1 ", (3, 1)),
             ("2^2,1^3", (2, 2, 1, 1, 1)),
+            ("1^2,3,2^2", (3, 2, 2, 1, 1)),
         ],
     )
     def test_parse(self, text, expected):
@@ -187,34 +188,37 @@ class TestHookRemoval:
 
 
 class TestHookAddition:
+    """Hook additions, as chi_bar_coeffs gives them: {partition: (-1)^leg}."""
+
     def test_examples(self):
-        assert add_hooks_of_length((), 2) == [((2,), 0), ((1, 1), 1)]
-        assert add_hooks_of_length((), 1) == [((1,), 0)]
-        assert add_hooks_of_length((2, 1), 4) == [
-            ((6, 1), 0),
-            ((4, 3), 1),
-            ((2, 2, 2, 1), 2),
-            ((2, 1, 1, 1, 1, 1), 3),
+        assert list(chi_bar_coeffs((), 2, 2).items()) == [((2,), 1), ((1, 1), -1)]
+        assert list(chi_bar_coeffs((), 1, 1).items()) == [((1,), 1)]
+        assert list(chi_bar_coeffs((2, 1), 4, 7).items()) == [
+            ((6, 1), 1),
+            ((4, 3), -1),
+            ((2, 2, 2, 1), 1),
+            ((2, 1, 1, 1, 1, 1), -1),
         ]
 
     def test_against_brute_force(self):
         for n in range(9):
             for p in partitions_of(n):
                 for length in range(1, 5):
-                    assert add_hooks_of_length(p, length) == brute_force_additions(
-                        p, length
-                    )
+                    assert list(chi_bar_coeffs(p, length, n + length).items()) == [
+                        (q, (-1) ** leg) for q, leg in brute_force_additions(p, length)
+                    ]
 
     def test_inverse_of_removal(self):
         for n in range(9):
             for p in partitions_of(n):
                 for length in range(1, 5):
-                    for q, leg in add_hooks_of_length(p, length):
-                        assert (p, leg) in remove_hooks_of_length(q, length)
+                    for q, sign in chi_bar_coeffs(p, length, n + length).items():
+                        removals = remove_hooks_of_length(q, length)
+                        assert [(-1) ** leg for r, leg in removals if r == p] == [sign]
 
     def test_length_below_one_rejected(self):
         with pytest.raises(ValueError, match="hook length must be >= 1"):
-            add_hooks_of_length((2, 1), 0)
+            chi_bar_coeffs((2, 1), 0, 3)
 
 
 class TestCores:

@@ -13,9 +13,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from charblocks.blocks import blocks_of, c_mu, count_matrix
-from charblocks.characters import _columns, char_value
+from charblocks.characters import _columns, char_value, chi_bar_coeffs
 from charblocks.partitions import (
-    add_hooks_of_length,
     e_core,
     is_e_class_regular,
     partitions_of,
@@ -64,7 +63,8 @@ def test_removals_match_rim_walk(p, length):
 @oracle
 @given(partitions(9), st.integers(1, 5))
 def test_additions_match_brute_force(p, length):
-    assert add_hooks_of_length(p, length) == brute_force_additions(p, length)
+    assert list(chi_bar_coeffs(p, length, sum(p) + length).items()) == [
+        (q, (-1) ** leg) for q, leg in brute_force_additions(p, length)]
 
 
 @oracle
