@@ -1,7 +1,6 @@
 """Exact character combinatorics of symmetric-group e-blocks."""
 
 from .partitions import (
-    add_hooks_of_length,
     conjugate,
     diagonal_hooks,
     dominance_leq,

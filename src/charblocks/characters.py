@@ -24,9 +24,9 @@ from .partitions import (
     _bead_masks,
     _beads,
     _moves,
+    _parts,
     check_partition,
     hook_lengths,
-    add_hooks_of_length,
     partitions_of,
     render_partition,
 )
@@ -186,8 +186,13 @@ def character_table_json(n: int) -> None:
 
 def chi_bar_coeffs(phi, length: int, n: int) -> dict:
     """Coefficients {partition: (-1)^leg} of the partitions of n reachable from
-    phi by adding one rim hook of the given length; zero elsewhere."""
+    phi by adding one rim hook of the given length, in descending order; zero
+    elsewhere.  On len(phi) + length beads an addition slides one bead up by
+    the length."""
     phi = check_partition(phi)
     if sum(phi) + length != n:
         raise ValueError(f"|phi| + length = {sum(phi) + length} != n = {n}")
-    return {beta: (-1) ** leg for beta, leg in add_hooks_of_length(phi, length)}
+    if length < 1:
+        raise ValueError("hook length must be >= 1")
+    moves = _moves(_beads(phi, len(phi) + length), length, True)
+    return {_parts(q): (-1) ** leg for q, leg in sorted(moves, reverse=True)}

@@ -148,30 +148,17 @@ def _moves(mask, t: int, add: bool):
     return out
 
 
-def _hooks_of_length(p, length: int, add: bool):
-    """Every single rim hook of the given length added to p if add, else
-    removed, as (partition, leg) pairs in descending order (that of the masks)."""
-    p = check_partition(p)
-    if length < 1:
-        raise ValueError("hook length must be >= 1")
-    moves = _moves(_beads(p, len(p) + length if add else len(p)), length, add)
-    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
-
-
 def remove_hooks_of_length(p, length: int):
-    """All single rim-hook removals of the given length, as (partition, leg) pairs.
+    """All single rim-hook removals of the given length, as (partition, leg)
+    pairs in descending order (that of the masks).
 
     On the abacus a removal slides one bead down by the length.
     """
-    return _hooks_of_length(p, length, False)
-
-
-def add_hooks_of_length(p, length: int):
-    """All single rim-hook additions of the given length, as (partition, leg) pairs.
-
-    On the abacus an addition slides one bead up by the length.
-    """
-    return _hooks_of_length(p, length, True)
+    p = check_partition(p)
+    if length < 1:
+        raise ValueError("hook length must be >= 1")
+    moves = _moves(_beads(p, len(p)), length, False)
+    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
 
 
 def _runner(top: int, e: int) -> int:

@@ -16,7 +16,6 @@ from charblocks import (
     centralizer_order,
     char_degree,
     char_value,
-    add_hooks_of_length,
     chi_bar_coeffs,
     conjugate,
     diagonal_hooks,
@@ -39,7 +38,6 @@ LABEL_ENTRIES = [
     ("chi_bar_coeffs", lambda p: chi_bar_coeffs(p, 1, 4)),
     ("e_core", lambda p: e_core(p, 2)),
     ("remove_hooks_of_length", lambda p: remove_hooks_of_length(p, 1)),
-    ("add_hooks_of_length", lambda p: add_hooks_of_length(p, 1)),
     ("is_e_core", lambda p: is_e_core(p, 2)),
     ("conjugate", conjugate),
     ("diagonal_hooks", diagonal_hooks),
