@@ -12,7 +12,6 @@ from . import blocks, characters, sweeps
 from .partitions import (
     _MAX_LITERAL_SIZE,
     e_core,
-    e_weight,
     parse_partition,
     render_partition,
 )
@@ -56,8 +55,9 @@ def _block(args):
 
 def _cmd_core(args) -> int:
     p = parse_partition(args.partition)
-    core = render_partition(e_core(p, args.e))
-    w = e_weight(p, args.e)
+    core = e_core(p, args.e)
+    w = (sum(p) - sum(core)) // args.e  # the e-hooks removed to reach the core
+    core = render_partition(core)
     return _emit(args, {"partition": render_partition(p), "e": args.e, "core": core,
                         "weight": w}, [f"core: {core}", f"weight: {w}"])
 

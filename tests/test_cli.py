@@ -37,6 +37,21 @@ class TestCore:
         assert code == 0
         assert out == "core: 2,1\nweight: 0\n"
 
+    def test_one_core_computed(self, capsys, monkeypatch):
+        # The weight is read off the core already computed, not off a second one.
+        from charblocks import cli, partitions
+
+        real, calls = partitions.e_core, []
+
+        def counted(p, e):
+            calls.append((p, e))
+            return real(p, e)
+
+        monkeypatch.setattr(partitions, "e_core", counted)
+        monkeypatch.setattr(cli, "e_core", counted)
+        code, out, _ = run(capsys, "core", "--e", "2", "3,1")
+        assert (code, out, calls) == (0, "core: -\nweight: 2\n", [((3, 1), 2)])
+
     def test_huge_e(self, capsys):
         code, out, _ = run(capsys, "core", "--e", "1000000000", "3,1")
         assert code == 0
