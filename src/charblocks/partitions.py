@@ -5,6 +5,8 @@ tuple is the unique partition of 0.  All indices in the hook API are 1-based
 so cells read as (row, column).
 """
 
+from itertools import chain, repeat
+
 
 def check_partition(parts) -> tuple:
     """Validate and return a partition as a canonical tuple."""
@@ -28,14 +30,14 @@ def parse_partition(text: str):
     Grammar: '-' is the empty partition; otherwise comma-separated items,
     each 'INT' or 'INT^INT' (a part repeated).  Whitespace is ignored and
     out-of-order parts are sorted into canonical form.  The size is checked
-    item by item, before a repeated part is expanded.
+    item by item, and the items are sorted before any repeated part is expanded.
     """
     s = "".join(text.split())
     if s == "-":
         return ()
     if not s:
         raise ValueError("empty partition literal (use '-' for the empty partition)")
-    parts, size = [], 0
+    items, size = [], 0
     for item in s.split(","):
         base_s, caret, exp_s = item.partition("^")
         base = _parse_int(base_s)
@@ -47,8 +49,9 @@ def parse_partition(text: str):
         size += base * exp
         if size > _MAX_LITERAL_SIZE:
             raise ValueError(f"partition size must be at most {_MAX_LITERAL_SIZE}")
-        parts.extend([base] * exp)
-    return tuple(sorted(parts, reverse=True))
+        items.append((base, exp))
+    items.sort(reverse=True)
+    return tuple(chain.from_iterable(repeat(base, exp) for base, exp in items))
 
 
 def _parse_int(s: str) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from charblocks.partitions import (
@@ -39,6 +41,18 @@ class TestParseRender:
     )
     def test_parse(self, text, expected):
         assert parse_partition(text) == expected
+
+    def test_repeated_part_expanded_once(self):
+        # The returned tuple of a million pointers is 8 MB.  A list of the
+        # parts and its sorted copy held beside it would triple that.
+        tracemalloc.start()
+        try:
+            p = parse_partition("1^1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p) == 10**6 and set(p) == {1}
+        assert peak < 12 * 10**6
 
     @pytest.mark.parametrize("text", ["", "0", "3,0", "-1", "2^0", "a", "3,,1", "2^",
                                       "0^" + "9" * 40])
