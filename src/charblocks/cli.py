@@ -132,17 +132,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed() else 1
 
 
-_HANDLERS = {
-    "core": _cmd_core,
-    "char": _cmd_char,
-    "count": _cmd_count,
-    "block": _cmd_block,
-    "extremal": _cmd_extremal,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-}
-
-
 # An option's default in _COMMANDS: a value, or one of these markers.
 _REQUIRED = object()  # the command refuses to run without the option
 _UNSET = object()  # no attribute unless given: verify's sweep options
@@ -154,28 +143,30 @@ _BLOCK_OPTIONS = {
     "--weight": ("weight", int, _REQUIRED, "the block's e-weight"),
 }
 
-# Each command: its help line, its positionals as (name, kind, help), and its
-# options as {flag: (dest, kind, default, help)}.  A kind is int, str, a tuple
-# of the values allowed, or bool for a flag that takes no value.
+# Each command: its handler, its help line, its positionals as (name, kind,
+# help), and its options as {flag: (dest, kind, default, help)}.  A kind is int,
+# str, a tuple of the values allowed, or bool for a flag that takes no value.
 _COMMANDS = {
-    "core": ("e-core and e-weight of a partition",
+    "core": (_cmd_core, "e-core and e-weight of a partition",
              (("partition", str, f"a partition literal of size at most {_MAX_LITERAL_SIZE}"),),
              {"--e": ("e", int, _REQUIRED, "the e of the e-core"), "--format": _FORMAT}),
-    "char": ("irreducible character value", (), {
+    "char": (_cmd_char, "irreducible character value", (), {
         "--nu": ("nu", str, _REQUIRED, f"character label, of size at most {_MAX_LITERAL_SIZE}"),
         "--class": ("cls", str, _REQUIRED, "class label of the same size"),
         "--format": _FORMAT}),
-    "count": ("non-zero character count of a block on a class", (), {
+    "count": (_cmd_count, "non-zero character count of a block on a class", (), {
         **_BLOCK_OPTIONS,
         "--class": ("cls", str, _REQUIRED, "class label"),
         "--format": _FORMAT}),
-    "block": ("list the partitions of a block", (), {**_BLOCK_OPTIONS, "--format": _FORMAT}),
-    "extremal": ("constructed class attaining count w+1", (),
+    "block": (_cmd_block, "list the partitions of a block", (),
+              {**_BLOCK_OPTIONS, "--format": _FORMAT}),
+    "extremal": (_cmd_extremal, "constructed class attaining count w+1", (),
                  {**_BLOCK_OPTIONS, "--format": _FORMAT}),
-    "table": ("full character table of S_n", (), {
+    "table": (_cmd_table, "full character table of S_n", (), {
         "--n": ("n", int, _REQUIRED, f"the n of S_n, 0 to {_MAX_N}"),
         "--format": ("format", ("plain", "csv", "json"), "plain", "output format")}),
-    "verify": ("run a verification sweep", (("sweep", tuple(_SWEEPS), "the sweep to run"),), {
+    "verify": (_cmd_verify, "run a verification sweep",
+               (("sweep", tuple(_SWEEPS), "the sweep to run"),), {
         "--e": ("e", str, _UNSET,
                 f"e value or inclusive range a..b (default {_SWEEP_OPTIONS['e']})"),
         "--max-n": ("max_n", int, _UNSET, f"largest n (default {_SWEEP_OPTIONS['max_n']})"),
@@ -217,9 +208,9 @@ def _help(command=None) -> str:
         return "\n".join([
             "usage: charblocks COMMAND [OPTIONS]", "",
             "Exact character combinatorics of symmetric-group e-blocks.", "", "commands:",
-            *(f"  {name:{width}}  {text}" for name, (text, _, _) in _COMMANDS.items()), "",
+            *(f"  {name:{width}}  {text}" for name, (_, text, _, _) in _COMMANDS.items()), "",
             "`charblocks COMMAND --help` lists the options of one command."])
-    text, positionals, options = _COMMANDS[command]
+    _, text, positionals, options = _COMMANDS[command]
     usage, rows = [], []
     for name, kind, help_text in positionals:
         usage.append(name.upper())
@@ -254,7 +245,7 @@ def parse_args(argv):
         given = f", got {argv[0]!r}" if argv else ""
         raise ValueError(f"the command must be one of {', '.join(_COMMANDS)}{given}")
     command, *tokens = argv
-    _, positionals, options = _COMMANDS[command]
+    _, _, positionals, options = _COMMANDS[command]
     flags = {**options, **_HELP}
     args = SimpleNamespace(command=command)
     for dest, _, default, _ in options.values():
@@ -304,7 +295,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        code = 0 if args is None else _HANDLERS[args.command](args)
+        code = 0 if args is None else _COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a reader that closed stdout early shows here, not at exit
         return code
     except ValueError as exc:

@@ -492,10 +492,10 @@ class TestUnexpectedErrors:
     def test_exit_3_with_one_line(self, capsys, monkeypatch, error):
         from charblocks import cli
 
-        def fail(args):
+        def fail(p, e):
             raise error("invariant broken")
 
-        monkeypatch.setitem(cli._HANDLERS, "core", fail)
+        monkeypatch.setattr(cli, "e_core", fail)
         code, out, err = run(capsys, "core", "--e", "2", "1")
         assert code == 3
         assert out == ""
