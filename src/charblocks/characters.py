@@ -39,16 +39,30 @@ def _table(size: int, t: int) -> tuple:
     """For each partition of size, the positions in partitions_of(size + t) that
     adding a t-hook reaches with even and with odd leg; built once per process.
     Row i holds the signs of chi_bar_coeffs(partitions_of(size)[i], t, size + t):
-    +1 at the even-leg positions, -1 at the odd."""
+    +1 at the even-leg positions, -1 at the odd.
+
+    Source mask i is the i-th mask of size with t more beads below it; the
+    additions are those of partitions._moves, in one loop over every mask.  A
+    bead moving up from low covers span = low * (2^t - 1), itself and the t - 1
+    positions it passes, so the target is mask + span and the leg is even
+    exactly when mask & span holds an odd number of beads."""
     key = (size, t)
     if key not in _TABLES:
         to = _bead_masks(size + t)
-        below = (1 << t) - 1  # t more beads under the partition
+        below = (1 << t) - 1
         rows = []
         for m in _bead_masks(size):
+            mask = m << t | below
+            lows = mask & ~m  # mask >> t is m: the beads with a free position t up
             even, odd = [], []
-            for q, leg in _moves(m << t | below, t, True):
-                (odd if leg & 1 else even).append(to[q])
+            while lows:
+                low = lows & -lows
+                lows ^= low
+                span = low * below
+                if (mask & span).bit_count() & 1:
+                    even.append(to[mask + span])
+                else:
+                    odd.append(to[mask + span])
             rows.append((tuple(even), tuple(odd)))
         _TABLES[key] = tuple(rows)
     return _TABLES[key]

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and passing verifications), 1 when a verification
-sweep fails, 2 on usage or parse errors, 3 on any other error.
+sweep fails, 2 on usage or parse errors, 3 on any other error.  Each command's
+handler imports the library modules it runs, so a command loads no other.
 """
 
 import os
 import sys
 from types import SimpleNamespace
 
-from . import blocks, characters, sweeps
 from .partitions import (
     _MAX_LITERAL_SIZE,
     e_core,
@@ -47,7 +47,8 @@ def _emit(args, obj, lines) -> int:
 
 def _block(args):
     """The block named by --e, --core and --weight, and its JSON fields."""
-    b = blocks.BlockId(e=args.e, core=parse_partition(args.core), weight=args.weight)
+    from .blocks import BlockId
+    b = BlockId(e=args.e, core=parse_partition(args.core), weight=args.weight)
     if b.n > _MAX_N:
         raise ValueError(f"block size must be at most {_MAX_N}, got n = {b.n}")
     return b, {"e": b.e, "core": render_partition(b.core), "weight": b.weight}
@@ -65,14 +66,16 @@ def _cmd_core(args) -> int:
 def _cmd_char(args) -> int:
     nu = parse_partition(args.nu)
     lam = parse_partition(args.cls)
-    value = characters.char_value(nu, lam)
+    from .characters import char_value
+    value = char_value(nu, lam)
     return _emit(args, {"nu": render_partition(nu), "class": render_partition(lam),
                         "value": str(value)}, [value])
 
 
 def _cmd_count(args) -> int:
     b, fields = _block(args)
-    report = blocks.c_mu(b, parse_partition(args.cls))
+    from .blocks import c_mu
+    report = c_mu(b, parse_partition(args.cls))
     witnesses = [render_partition(w) for w in report.witnesses]
     return _emit(args, {**fields, "class": render_partition(report.class_label),
                         "count": report.count, "witnesses": witnesses},
@@ -81,14 +84,16 @@ def _cmd_count(args) -> int:
 
 def _cmd_block(args) -> int:
     b, fields = _block(args)
-    members = [render_partition(p) for p in blocks.block_partitions(b)]
+    from .blocks import block_partitions
+    members = [render_partition(p) for p in block_partitions(b)]
     return _emit(args, {**fields, "n": b.n, "partitions": members}, members)
 
 
 def _cmd_extremal(args) -> int:
     b, fields = _block(args)
-    lam = blocks.extremal_lambda(b)
-    count = blocks.c_mu(b, lam).count
+    from .blocks import c_mu, extremal_lambda
+    lam = extremal_lambda(b)
+    count = c_mu(b, lam).count
     return _emit(args, {**fields, "class": render_partition(lam), "count": count},
                  [render_partition(lam), f"count: {count}"])
 
@@ -96,6 +101,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_table(args) -> int:
     if args.n < 0 or args.n > _MAX_N:
         raise ValueError(f"table size must be between 0 and {_MAX_N}")
+    from . import characters
     {"plain": characters.character_table_text,
      "csv": characters.character_table_csv,
      "json": characters.character_table_json}[args.format](args.n)
@@ -105,26 +111,29 @@ def _cmd_table(args) -> int:
 # The verify options a sweep may read, with their defaults.  They stay unset
 # unless given, so that each sweep, which names the ones it reads, refuses the rest.
 _SWEEP_OPTIONS = {"e": "2..5", "max_n": 10, "max_size": 8}
+# Each sweep: its function in sweeps, and the options it reads in the order
+# that function takes them, before jobs.
 _SWEEPS = {
-    "theorem1": (("e", "max_n"), lambda a, e: sweeps.verify_theorem1(e, a.max_n, a.jobs)),
-    "dichotomy": (("e", "max_n"), lambda a, e: sweeps.verify_dichotomy(e, a.max_n, a.jobs)),
-    "lemma1": (("max_size",), lambda a, e: sweeps.lemma1_sweep(a.max_size, a.jobs)),
-    "remark1": (("e", "max_n"), lambda a, e: sweeps.verify_remark1(e, a.max_n, a.jobs)),
-    "remark2": (("max_n",), lambda a, e: sweeps.verify_remark2(a.max_n, jobs=a.jobs)),
-    "chibar": (("max_n",), lambda a, e: sweeps.verify_chibar(a.max_n, a.jobs)),
-    "rowstructure": (("e", "max_n"), lambda a, e:
-                     sweeps.nonvanishing_row_structure_check(a.max_n, e, a.jobs)),
+    "theorem1": ("verify_theorem1", ("e", "max_n")),
+    "dichotomy": ("verify_dichotomy", ("e", "max_n")),
+    "lemma1": ("lemma1_sweep", ("max_size",)),
+    "remark1": ("verify_remark1", ("e", "max_n")),
+    "remark2": ("verify_remark2", ("max_n",)),
+    "chibar": ("verify_chibar", ("max_n",)),
+    "rowstructure": ("nonvanishing_row_structure_check", ("max_n", "e")),
 }
 
 
 def _cmd_verify(args) -> int:
-    reads, run = _SWEEPS[args.sweep]
+    function, reads = _SWEEPS[args.sweep]
     for name, default in _SWEEP_OPTIONS.items():
         if name in reads:
             vars(args).setdefault(name, default)
         elif name in vars(args):
             raise ValueError(f"verify {args.sweep} does not read --{name.replace('_', '-')}")
-    report = run(args, _parse_e_range(args.e) if "e" in reads else None)
+    values = [_parse_e_range(args.e) if name == "e" else getattr(args, name) for name in reads]
+    from . import sweeps
+    report = getattr(sweeps, function)(*values, args.jobs)
     if args.format == "json":
         print(report.to_json(meta=not args.no_meta))
     else:

@@ -5,7 +5,9 @@ tuple is the unique partition of 0.  All indices in the hook API are 1-based
 so cells read as (row, column).
 """
 
-from itertools import chain, repeat
+from bisect import bisect_right
+from itertools import chain, islice, repeat
+from operator import neg
 
 
 def check_partition(parts) -> tuple:
@@ -14,7 +16,7 @@ def check_partition(parts) -> tuple:
     for x in p:
         if not isinstance(x, int) or x < 1:
             raise ValueError(f"partition parts must be positive integers, got {x!r}")
-    for a, b in zip(p, p[1:]):
+    for a, b in zip(p, islice(p, 1, None)):
         if a < b:
             raise ValueError(f"parts must be weakly decreasing: {p}")
     return p
@@ -116,9 +118,16 @@ def _beads(p, count: int) -> int:
     """Bead mask of p on count >= len(p) beads (James-Kerber, The Representation
     Theory of the Symmetric Group, 2.7): bit p_i + count - i is set for
     1 <= i <= count, with p_i = 0 past the last part.  Read from the top, it is
-    the rim: a bead per part, then a gap per step down to the next part."""
-    rim = "".join(["1" + "0" * (a - b) for a, b in zip(p, p[1:] + (0,))])
-    return int(rim + "1" * (count - len(p)) or "0", 2)
+    the rim: a bead per part, then a gap per step down to the next part.  A run
+    of r parts equal to a, followed by a part b (0 past the last), reads
+    "1" * r + "0" * (a - b); each run's end is found by bisection."""
+    rim, i = [], 0
+    while i < len(p):
+        a = p[i]
+        j = bisect_right(p, -a, i, key=neg)  # p is weakly decreasing
+        rim.append("1" * (j - i) + "0" * (a - (p[j] if j < len(p) else 0)))
+        i = j
+    return int("".join(rim) + "1" * (count - len(p)) or "0", 2)
 
 
 def _parts(mask) -> tuple:
@@ -234,10 +243,21 @@ def partitions_of(n: int):
 
 def _bead_masks(n: int) -> dict:
     """{bead mask on n beads: position in partitions_of(n)}, in that order,
-    built once per process; callers must not change it."""
-    partitions_of(n)
+    built once per process; callers must not change it.
+
+    Built as partitions_of builds the partitions: the mask of (k,) + rest on
+    m beads is a bead at k + m - 1 over the mask of rest on m - k beads
+    shifted up by k - 1, with k - 1 beads below it.  rest's first part is at
+    most k exactly when its mask lies below 1 << m."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     for m in range(len(_BEAD_MASKS), n + 1):
-        _BEAD_MASKS.append({_beads(p, m): i for i, p in enumerate(_PARTITIONS[m])})
+        masks, limit = [], 1 << m
+        for k in range(m, 0, -1):
+            shift = k - 1
+            base = 1 << (k + m - 1) | (1 << shift) - 1
+            masks += [r << shift | base for r in _BEAD_MASKS[m - k] if r < limit]
+        _BEAD_MASKS.append(dict(zip(masks, range(len(masks)))))
     return _BEAD_MASKS[n]
 
 

@@ -16,7 +16,7 @@ from charblocks.characters import (
     character_table_json,
     chi_bar_coeffs,
 )
-from charblocks.partitions import partitions_of, render_partition
+from charblocks.partitions import _bead_masks, _moves, partitions_of, render_partition
 
 from oracles import mn_ascending
 
@@ -217,6 +217,19 @@ class TestChiBar:
                 for phi in ps:
                     assert (self.signs(table[ps.index(phi)], n)
                             == sorted(chi_bar_coeffs(phi, t, n).items()))
+
+    def test_move_tables_match_moves(self):
+        # _table's bulk loop against _moves, the single-object primitive, row
+        # by row: source mask i with t more beads below it, targets in move order.
+        for size in range(12):
+            for t in range(1, 13 - size):
+                to = _bead_masks(size + t)
+                table = _table(size, t)
+                assert len(table) == len(_bead_masks(size))
+                for m, (even, odd) in zip(_bead_masks(size), table):
+                    moves = _moves(m << t | (1 << t) - 1, t, True)
+                    assert even == tuple(to[q] for q, leg in moves if leg % 2 == 0)
+                    assert odd == tuple(to[q] for q, leg in moves if leg % 2 == 1)
 
     def test_one_flipped_sign_is_caught(self):
         # Negative control: moving any one target to the other leg parity

@@ -563,6 +563,16 @@ class TestStartup:
         assert "charblocks.cli" in loaded
         assert not {"argparse", "gettext", "locale"} & loaded
 
+    @pytest.mark.parametrize("argv", [("table", "--n", "4", "--format", "csv"),
+                                      ("core", "--e", "2", "1")], ids=["table-csv", "core"])
+    def test_loads_no_block_or_sweep_module(self, argv):
+        loaded = self.probe(*argv)
+        assert "charblocks.partitions" in loaded
+        assert not {"charblocks.blocks", "charblocks.sweeps"} & loaded
+
+    def test_core_loads_no_character_module(self):
+        assert "charblocks.characters" not in self.probe("core", "--e", "2", "1")
+
     def test_two_jobs_load_the_process_pool(self):
         loaded = self.probe(*self.ARGV, "--jobs", "2")
         assert "concurrent.futures.process" in loaded

@@ -8,6 +8,7 @@ from charblocks.partitions import (
     _core_mask,
     _parts,
     _runner,
+    check_partition,
     conjugate,
     diagonal_hooks,
     dominance_leq,
@@ -68,6 +69,17 @@ class TestParseRender:
 
     def test_size_at_limit(self):
         assert parse_partition("1^3,9999997") == (9999997, 1, 1, 1)
+
+    def test_check_partition_copies_nothing(self):
+        # The neighbours are compared without a sliced copy of the parts (8 MB).
+        p = (1,) * 10**6
+        tracemalloc.start()
+        try:
+            assert check_partition(p) == p
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_only_decimal_digits_are_integers(self):
         # '²' and '①' pass str.isdigit but int() rejects them; the
@@ -161,8 +173,22 @@ class TestBetaSets:
                     assert mask.bit_count() == b
                     assert _parts(mask) == p
 
+    def test_beads_hold_no_copy_of_the_parts(self):
+        # A million equal parts are one run: the rim string is 1 MB, where a
+        # shifted copy of the tuple and one piece per part held 16 MB.
+        p = (1,) * 10**6
+        tracemalloc.start()
+        try:
+            mask = _beads(p, len(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask == ((1 << 10**6) - 1) << 1
+        assert peak < 4 * 10**6
+
     def test_bead_masks_follow_partitions_of(self):
-        for n in (12, 0, 5, 12):
+        # Built from the masks of smaller sizes, in any order of asking.
+        for n in (12, 0, 5, 12, *range(21)):
             masks = _bead_masks(n)
             assert list(masks) == [_beads(p, n) for p in partitions_of(n)]
             assert list(masks.values()) == list(range(len(partitions_of(n))))
