@@ -18,6 +18,7 @@ through the signed rim-hook removals of each class part, largest first, with
 no memo and no recursion.
 """
 
+import sys
 from math import factorial
 
 from .partitions import (
@@ -165,23 +166,28 @@ def character_table(n: int):
 
 def character_table_text(n: int) -> None:
     """Print aligned plain text with class labels as header and character
-    labels as first column, every cell right-justified to one width."""
+    labels as first column, every cell right-justified to one width.  Each
+    line, newline included, is one write: print would make two, each a
+    system call when stdout is unbuffered."""
     labels = [render_partition(p) for p in partitions_of(n)]
     width = max([len(s) for s in labels] + [5])
-    print(" " * width + "  " + "  ".join(s.rjust(width) for s in labels))
+    write = sys.stdout.write
+    write(" " * width + "  " + "  ".join(s.rjust(width) for s in labels) + "\n")
     for label, row in zip(labels, _rows(n)):
-        print(label.rjust(width) + "  " + "  ".join(str(v).rjust(width) for v in row))
+        write(label.rjust(width) + "  " + "  ".join(str(v).rjust(width) for v in row) + "\n")
 
 
 def character_table_csv(n: int) -> None:
     """Print CSV with class labels as header and character labels as first
     column, every field quoted.  No label or value holds a quote, so none
-    needs escaping.  One %-format writes a row's values."""
+    needs escaping.  One %-format writes a row's values and its newline, and
+    each line is one write, as in character_table_text."""
     labels = [render_partition(p) for p in partitions_of(n)]
-    row_text = '","'.join(["%d"] * len(labels)) + '"'
-    print('"' + '","'.join([""] + labels) + '"')
+    row_text = '","'.join(["%d"] * len(labels)) + '"\n'
+    write = sys.stdout.write
+    write('"' + '","'.join([""] + labels) + '"\n')
     for label, row in zip(labels, _rows(n)):
-        print('"' + label + '","' + row_text % row)
+        write('"' + label + '","' + row_text % row)
 
 
 def character_table_json(n: int) -> None:

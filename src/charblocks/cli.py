@@ -319,5 +319,28 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The command line's entry point: main on sys.argv[1:], then os._exit, so
+    neither the interpreter's teardown (which frees every module and the
+    engine's kept tables) nor atexit handlers run.
+
+    First it flushes stdout and stderr as that teardown would.  main has
+    flushed stdout on a normal return, so only output still held on an
+    exit-2 or exit-3 path is written here.  A failed flush exits 120, and a
+    failed stdout flush is reported on stderr as CPython reports it."""
+    code = main(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # as at exit: the fd was closed when the process started
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:
+            if stream is sys.stdout:
+                print(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

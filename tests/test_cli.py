@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -11,8 +12,10 @@ import pytest
 from charblocks.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-SRC_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+ROOT = Path(__file__).resolve().parent.parent
+SRC_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(ROOT / "src")}
+# stdout block buffered, as a shell pipe leaves it, so output can be held at exit.
+BUFFERED_ENV = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
 def run(capsys, *argv):
@@ -236,11 +239,15 @@ class TestTable:
         assert main(["table", "--n", "12", "--format", fmt]) == 0
         golden = GOLDEN_DIR / f"table-{fmt}-12.out"
         assert "".join(writes).encode() == golden.read_bytes()
-        # A write holds one line of plain or csv.  Of json it holds at most the
-        # header, whose two label lists take 2 * p(12) + 6 lines, or one row.
-        lines = 2 * 77 + 6 if fmt == "json" else 1
         longest = max(map(len, golden.read_text().splitlines()))
-        assert max(map(len, writes)) <= lines * longest
+        if fmt == "json":
+            # A write holds at most the header, whose two label lists take
+            # 2 * p(12) + 6 lines, or one row.
+            assert max(map(len, writes)) <= (2 * 77 + 6) * longest
+        else:
+            # A write is one line of plain or csv and its newline.
+            assert max(map(len, writes)) <= longest + 1
+            assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
 
     @pytest.mark.parametrize("argv", [
         ("table", "--n", "15", "--format", "plain"),
@@ -251,8 +258,7 @@ class TestTable:
     def test_closed_stdout_exits_3(self, argv):
         # Each command prints more than a 64 KB pipe holds.  stdout is block
         # buffered, as a shell pipe leaves it, so bytes are still held at exit.
-        env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
-        proc = subprocess.Popen([sys.executable, "-m", "charblocks.cli", *argv], env=env,
+        proc = subprocess.Popen([sys.executable, "-m", "charblocks.cli", *argv], env=BUFFERED_ENV,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.read(10)
         proc.stdout.close()
@@ -576,3 +582,83 @@ class TestStartup:
     def test_two_jobs_load_the_process_pool(self):
         loaded = self.probe(*self.ARGV, "--jobs", "2")
         assert "concurrent.futures.process" in loaded
+
+
+class TestRun:
+    """cli.run, the process's own exit, in a fresh interpreter.  It ends with
+    os._exit, yet every path gives the bytes and exit code that `sys.exit(main())`
+    gives, which lets the interpreter tear down."""
+
+    # Each setup patches the program before the run, as the in-process tests do.
+    FAILED_SWEEP = "from charblocks import sweeps\nsweeps._near_hook_set = lambda n: set()"
+    PRINT_THEN_FAIL = ("def fail(p, e):\n"
+                       "    print('held')\n"
+                       "{}"
+                       "    raise RuntimeError('invariant broken')\n"
+                       "cli.e_core = fail")
+    # The reader has gone before the held output is flushed.
+    CLOSED_PIPE = "    r, w = os.pipe()\n    os.close(r)\n    os.dup2(w, 1)\n"
+
+    def probe(self, setup, *argv, end="cli.run()"):
+        code = f"import atexit, os, sys\nfrom charblocks import cli\n{setup}\n{end}\n"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=BUFFERED_ENV,
+                              capture_output=True, timeout=60)
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    def same_as_teardown(self, setup, *argv):
+        """The run's exit code, stdout and stderr, checked against sys.exit(main())."""
+        result = self.probe(setup, *argv)
+        assert result == self.probe(setup, *argv, end="sys.exit(cli.main())")
+        return result
+
+    def test_failed_sweep_exit_1_with_full_report(self):
+        code, out, err = self.same_as_teardown(
+            self.FAILED_SWEEP, "verify", "rowstructure", "--e", "2", "--max-n", "5",
+            "--format", "json", "--no-meta")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["verdict"] == "fail"
+        assert len(report["counterexamples"]) == 4
+
+    def test_usage_error_exit_2(self):
+        assert self.same_as_teardown("", "table", "--n", "31") == (
+            2, "", "error: table size must be between 0 and 30\n")
+
+    def test_held_output_reaches_stdout_on_exit_3(self):
+        assert self.same_as_teardown(self.PRINT_THEN_FAIL.format(""), "core", "--e", "2", "1") == (
+            3, "held\n", "error: RuntimeError: invariant broken\n")
+
+    def test_failed_flush_of_held_output_exits_120(self):
+        code, out, err = self.same_as_teardown(self.PRINT_THEN_FAIL.format(self.CLOSED_PIPE),
+                                               "core", "--e", "2", "1")
+        assert (code, out) == (120, "")
+        first, ignored, broken = err.splitlines()
+        assert first == "error: RuntimeError: invariant broken"
+        assert ignored.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
+        assert broken == "BrokenPipeError: [Errno 32] Broken pipe"
+
+    def test_atexit_handlers_do_not_run(self):
+        setup = "atexit.register(print, 'atexit ran', file=sys.stderr)"
+        assert self.probe(setup, "core", "--e", "2", "1") == (0, "core: 1\nweight: 0\n", "")
+
+    def test_two_jobs_leave_no_process(self):
+        argv = ("verify", "theorem1", "--e", "2..5", "--max-n", "8", "--format", "json",
+                "--no-meta", "--jobs", "2")
+        proc = subprocess.Popen([sys.executable, "-c", "from charblocks import cli; cli.run()",
+                                 *argv], env=BUFFERED_ENV, stdout=subprocess.PIPE,
+                                start_new_session=True)
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert out == (GOLDEN_DIR / "verify-theorem1.out").read_bytes()
+        # The run led its own session and process group, which its workers joined.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_console_script_calls_what_the_main_block_calls(self):
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        tree = ast.parse((ROOT / "src" / "charblocks" / "cli.py").read_text())
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        [call] = block.body
+        assert scripts == {"charblocks": f"charblocks.cli:{ast.unparse(call.value.func)}"}

@@ -1,9 +1,10 @@
 """Byte-identity guard: CLI stdout and exit codes against recorded goldens.
 
-Each case runs `cli.main` in-process and compares its stdout bytes and exit
-code with `tests/golden/<name>.out` and `tests/golden/exit_codes.json`.  The
-goldens were recorded from a known-good commit; a refactor must leave every
-one of them unchanged.  To re-record after a deliberate output change:
+Each case runs `cli.main` in-process, and again as `python -m charblocks.cli`
+in its own process, and compares the stdout bytes and exit code with
+`tests/golden/<name>.out` and `tests/golden/exit_codes.json`.  The goldens
+were recorded from a known-good commit; a refactor must leave every one of
+them unchanged.  To re-record after a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,6 +12,9 @@ one of them unchanged.  To re-record after a deliberate output change:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,9 @@ from charblocks import cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+# stdout block buffered, as a shell pipe leaves it.
+PROCESS_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(GOLDEN_DIR.parent.parent / "src")}
 
 _SWEEP = ("--max-n", "8", "--format", "json", "--no-meta")
 _E_SWEEP = ("--e", "2..5", *_SWEEP)
@@ -89,6 +96,14 @@ def test_matches_golden(name):
     out, code = run_cli(CASES[name])
     assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
     assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_process_matches_golden(name):
+    proc = subprocess.run([sys.executable, "-m", "charblocks.cli", *CASES[name]],
+                          env=PROCESS_ENV, capture_output=True, timeout=120)
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.out").read_bytes()
+    assert proc.returncode == json.loads(EXIT_CODES.read_text())[name]
 
 
 # Other spellings of golden cases that the CLI's grammar accepts: `--opt=value`,
