@@ -13,7 +13,6 @@ from .partitions import (
     _bead_masks,
     _core_mask,
     _parts,
-    _runner,
     check_partition,
     diagonal_hooks,
     is_e_class_regular,
@@ -65,7 +64,7 @@ def c_mu(b: BlockId, lam) -> CountReport:
     lam = check_partition(sorted(lam, reverse=True))
     if sum(lam) != b.n:
         raise ValueError(f"|lambda| = {sum(lam)} != block n = {b.n}")
-    (_, col), = _columns([lam], b.n)
+    (_, col), = _columns([lam])
     members = set(block_partitions(b))
     witnesses = [nu for nu, c in zip(partitions_of(b.n), col) if c and nu in members]
     return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
@@ -92,7 +91,7 @@ def count_matrix(e_values, n: int, regular: bool = True):
     own = [tuple(lam for lam in ps if all(part % e for part in lam) == regular)
            for e, _ in tables]
     masks = {lam: int(bytes(map(bool, col))[::-1].translate(_DIGITS), 2)
-             for lam, col in _columns({lam for classes in own for lam in classes}, n)}
+             for lam, col in _columns({lam for classes in own for lam in classes})}
     for classes, (_, blocks) in zip(own, tables):
         colmasks = [masks[lam] for lam in classes]
         for b, members in blocks.items():
@@ -142,8 +141,7 @@ def blocks_of(e: int, n: int) -> dict:
         raise ValueError("block must live in S_n with n >= 1")
     # A mask's e-core depends only on how many beads each runner holds, and on
     # n beads every bead lies below position 2n.
-    runner = _runner(2 * n, e)
-    runners = [runner << r for r in range(min(e, 2 * n))]
+    runners = [sum(1 << x for x in range(r, 2 * n, e)) for r in range(min(e, 2 * n))]
     groups = {}  # runner counts -> (the first mask that has them, members)
     for mask, nu in zip(masks, partitions_of(n)):
         key = tuple([(mask & r).bit_count() for r in runners])

@@ -69,7 +69,7 @@ def _table(size: int, t: int) -> tuple:
     return _TABLES[key]
 
 
-def _columns(classes, n: int):
+def _columns(classes):
     """Yield (lam, col) for each class lam of S_n (partition tuples in
     descending order, unchecked), col being [chi^nu(lam) for nu in
     partitions_of(n)], in walk order: ascending part tuples in
@@ -155,7 +155,7 @@ def _rows(n: int):
     """The rows of the table of S_n, tuples in partitions_of(n) order: the
     transpose of its columns."""
     ps = partitions_of(n)
-    columns = dict(_columns(ps, n))
+    columns = dict(_columns(ps))
     return zip(*[columns[lam] for lam in ps])
 
 
@@ -192,16 +192,19 @@ def character_table_csv(n: int) -> None:
 
 def character_table_json(n: int) -> None:
     """Print a JSON object with values as a row-major array of decimal
-    strings, laid out as json.dumps(..., indent=2) lays it out, a row at a time."""
+    strings, laid out as json.dumps(..., indent=2) lays it out, a row at a time.
+    The header, each row with the separator before it, and the footer are one
+    write each, as in character_table_text."""
     import json
     labels = [render_partition(p) for p in partitions_of(n)]
     head = json.dumps({"n": n, "classes": labels, "characters": labels}, indent=2)
-    print(head[:-2] + ',\n  "values": [')
+    write = sys.stdout.write
+    write(head[:-2] + ',\n  "values": [\n')
     sep = ""
     for row in _rows(n):
-        print(sep + '    "' + '",\n    "'.join(map(str, row)) + '"', end="")
+        write(sep + '    "' + '",\n    "'.join(map(str, row)) + '"')
         sep = ",\n"
-    print("\n  ]\n}")
+    write("\n  ]\n}\n")
 
 
 def chi_bar_coeffs(phi, length: int, n: int) -> dict:

@@ -301,6 +301,18 @@ def parse_args(argv):
     return args
 
 
+def _to_stderr(line: str) -> None:
+    """Print line on stderr.  A stderr that cannot be written loses the line
+    but not the exit code, which the OSError would otherwise turn into 1.
+    stderr is None if fd 2 was closed when the process started, and print
+    would then write to stdout."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -308,13 +320,15 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a reader that closed stdout early shows here, not at exit
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return 2
     except Exception as exc:
         # Anything else is a fault, not a usage error or a failed check.
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, BrokenPipeError):
-            # What stdout holds goes to devnull, or the flush at exit fails (status 120).
+        _to_stderr(f"error: {type(exc).__name__}: {exc}")
+        if isinstance(exc, OSError):
+            # Taken as a failed write to stdout (its reader gone, its device
+            # full): what stdout still holds goes to devnull, or the flush at
+            # exit fails again (status 120).
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
@@ -326,8 +340,10 @@ def run() -> None:
 
     First it flushes stdout and stderr as that teardown would.  main has
     flushed stdout on a normal return, so only output still held on an
-    exit-2 or exit-3 path is written here.  A failed flush exits 120, and a
-    failed stdout flush is reported on stderr as CPython reports it."""
+    exit-2 or exit-3 path is written here.  A failed stdout flush exits 120
+    and is reported on stderr as CPython reports it.  stderr holds output
+    only after a write that failed and was dropped (_to_stderr), so a failed
+    stderr flush changes no exit code."""
     code = main(sys.argv[1:])
     for stream in (sys.stdout, sys.stderr):
         if stream is None:  # as at exit: the fd was closed when the process started
@@ -336,9 +352,8 @@ def run() -> None:
             stream.flush()
         except OSError as exc:
             if stream is sys.stdout:
-                print(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-            code = 120
+                _to_stderr(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}")
+                code = 120
     os._exit(code)
 
 

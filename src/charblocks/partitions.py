@@ -173,13 +173,6 @@ def remove_hooks_of_length(p, length: int):
     return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
 
 
-def _runner(top: int, e: int) -> int:
-    """Mask of the positions 0, e, 2e, ... below top, a geometric series of
-    k = ceil(top / e) terms in 2^e; a k of 0 or 1 is the mask, whatever e."""
-    k = -(-top // e)
-    return ((1 << e * k) - 1) // ((1 << e) - 1) if k > 1 else k
-
-
 def _core_mask(mask, e: int) -> int:
     """Bead mask of the e-core: push every bead of mask down its runner as far
     as it goes.  Runner r is every e-th digit of the mask from bit r on, so

@@ -66,9 +66,10 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
+def _sweep(task_fn, ns, jobs: int, params: dict, key=None) -> SweepReport:
     """Run task_fn(n) for every int n in ns and join its (rows,
-    counterexamples) results in ascending n.
+    counterexamples) results in ascending n, then sort both stably by key
+    if one is given.
 
     A task costs about p(n), so the largest n is dispatched first.  More than
     one job runs the tasks in a process pool of at most one worker per task.
@@ -86,7 +87,11 @@ def _sweep(task_fn, ns, jobs: int, params: dict) -> SweepReport:
     else:
         done = [task_fn(n) for n in ns]
     rows, counterexamples = zip(*reversed(done))
-    return SweepReport(params, list(chain(*rows)), list(chain(*counterexamples)))
+    report = SweepReport(params, list(chain(*rows)), list(chain(*counterexamples)))
+    if key is not None:
+        report.rows.sort(key=key)
+        report.counterexamples.sort(key=key)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +111,10 @@ def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
                  **params) -> SweepReport:
     e_values = sorted(set(e_values))
     ns = range(1, n_max + 1) if e_values else []
-    report = _sweep(partial(_block_rows, format_row, regular, e_values), ns, jobs,
-                    {"e": e_values, "n_max": n_max, **params})
     # Reports list blocks by e, n and rendered core, as text ("10" < "2").
-    for rows in (report.rows, report.counterexamples):
-        rows.sort(key=lambda r: (r["e"], r["n"], r["core"]))
-    return report
+    return _sweep(partial(_block_rows, format_row, regular, e_values), ns, jobs,
+                  {"e": e_values, "n_max": n_max, **params},
+                  key=lambda r: (r["e"], r["n"], r["core"]))
 
 
 def _theorem1_row(b, classes, counts):
@@ -175,7 +178,7 @@ def _exceeds_sqrt_bound(c: int, n: int) -> bool:
 def _remark2_rows(n: int):
     # e = 1: the whole character table of S_n is one block; a count is the
     # number of non-zero entries in a column.
-    counts = {lam: len(col) - col.count(0) for lam, col in _columns(partitions_of(n), n)}
+    counts = {lam: len(col) - col.count(0) for lam, col in _columns(partitions_of(n))}
     hook = counts[n - 1, 1]
     bound_ok = all(_exceeds_sqrt_bound(c, n) for c in counts.values())
     min_c = min(counts.values())
@@ -249,7 +252,7 @@ def _chibar_rows(n: int):
     # Row i of _table(n - length, length) holds the signs of the combination
     # for the i-th phi: +1 at its even-leg positions, -1 at its odd.
     ps = partitions_of(n)
-    columns = dict(_columns(ps, n))
+    columns = dict(_columns(ps))
     failures = []
     checked = 0
     for length in range(1, n + 1):
@@ -293,17 +296,18 @@ def _rowstructure_rows(e_values, n: int):
     rows = []
     blocks = {b: members for e in e_values for b, members in blocks_of(e, n).items()
               if b.core}
+    extremal = {b: extremal_lambda(b) for b in blocks}
     # Blocks often share their extremal class, also across e: one column per class.
-    classes = {extremal_lambda(b) for b in blocks}
+    classes = set(extremal.values())
     if n >= 2:
         classes.add((n - 1, 1))
     ps = partitions_of(n)
-    nonzero = {lam: {nu for nu, c in zip(ps, col) if c} for lam, col in _columns(classes, n)}
+    nonzero = {lam: {nu for nu, c in zip(ps, col) if c} for lam, col in _columns(classes)}
     if n >= 2:
         ok = nonzero[n - 1, 1] == _near_hook_set(n)
         rows.append({"check": "near_hooks", "n": n, "ok": ok})
     for b, members in blocks.items():
-        lam = extremal_lambda(b)
+        lam = extremal[b]
         support = nonzero[lam]
         we = b.weight * b.e
         ext_ok = all((b.core[0] + d,) + b.core[1:] + (1,) * (we - d) in support
@@ -338,8 +342,6 @@ def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5),
     """
     e_values = sorted(set(e_values))
     ns = range(1 if e_values else 2, n_max + 1)  # n = 1 has only blocks to check
-    report = _sweep(partial(_rowstructure_rows, e_values), ns, jobs,
-                    {"n_max": n_max, "e": e_values})
-    for rows in (report.rows, report.counterexamples):
-        rows.sort(key=lambda r: (r["check"] == "block", r.get("e", 0), r["n"]))
-    return report
+    return _sweep(partial(_rowstructure_rows, e_values), ns, jobs,
+                  {"n_max": n_max, "e": e_values},
+                  key=lambda r: (r["check"] == "block", r.get("e", 0), r["n"]))

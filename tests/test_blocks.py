@@ -196,7 +196,7 @@ class TestBlockPartitions:
         # 151, 2003): within a block, the values on an e-regular class are
         # orthogonal to those on an e-singular class.
         for n in range(1, 15):
-            columns = dict(_columns(partitions_of(n), n))
+            columns = dict(_columns(partitions_of(n)))
             for e in range(2, 6):
                 groups = blocks_of(e, n).values()
                 assert self.nonorthogonal(n, e, groups, columns) == 0, (e, n)
@@ -206,7 +206,7 @@ class TestBlockPartitions:
         big = max(blocks.values(), key=len)
         groups = [members for members in blocks.values() if members is not big]
         groups += [big[::2], big[1::2]]
-        columns = dict(_columns(partitions_of(10), 10))
+        columns = dict(_columns(partitions_of(10)))
         assert self.nonorthogonal(10, 3, groups, columns) > 0
 
     # S_0 has no block and a negative n no partition; e = 1 is the whole
@@ -473,10 +473,11 @@ class TestSweeps:
     def test_rowstructure_one_column_per_extremal_class_per_n(self, monkeypatch):
         built = {}
 
-        def columns(classes, n):
+        def columns(classes):
             classes = list(classes)
-            built[n] = built.get(n, 0) + len(classes)
-            return _columns(classes, n)
+            for lam in classes:
+                built[sum(lam)] = built.get(sum(lam), 0) + 1
+            return _columns(classes)
 
         monkeypatch.setattr(sweeps, "_columns", columns)
         nonvanishing_row_structure_check(12, [2, 3, 4, 5])

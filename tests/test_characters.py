@@ -71,7 +71,7 @@ class TestCharValue:
         # a walk over one class gives each value of the oracle
         for n in range(0, 7):
             for lam in partitions_of(n):
-                (_, col), = _columns([lam], n)
+                (_, col), = _columns([lam])
                 assert col == [mn_ascending(nu, lam) for nu in partitions_of(n)]
 
 
@@ -122,20 +122,20 @@ class TestDegreesAndOrthogonality:
                 s = sum(w * x * y for w, x, y in zip(weights, a, b))
                 assert s == (order if i == j else 0)
         for m in range(1, 15):
-            (_, identity), = _columns([(1,) * m], m)
+            (_, identity), = _columns([(1,) * m])
             assert identity == [char_degree(nu) for nu in partitions_of(m)]
 
 
 class TestBatchColumns:
     def test_empty_class_of_s0(self):
-        assert list(_columns([()], 0)) == [((), [1])]
+        assert list(_columns([()])) == [((), [1])]
 
     def test_no_classes_yield_nothing(self):
-        assert list(_columns([], 5)) == []
+        assert list(_columns([])) == []
 
     def test_walk_order_is_ascending_parts(self):
         # classes sharing their smallest parts come out together
-        walked = [lam for lam, _ in _columns(partitions_of(5), 5)]
+        walked = [lam for lam, _ in _columns(partitions_of(5))]
         assert walked == sorted(partitions_of(5), key=lambda lam: lam[::-1])
 
     def test_move_tables_are_kept_across_n(self):
@@ -143,11 +143,11 @@ class TestBatchColumns:
         # walks at a larger, a smaller and the same n read the same ones.
         for n in (12, 7, 0, 12, 9):
             ps = partitions_of(n)
-            for lam, col in _columns(ps, n):
+            for lam, col in _columns(ps):
                 single = reference_column(lam)
                 assert col == [single.get(nu, 0) for nu in ps]
             kept = len(characters._TABLES), len(partitions._BEAD_MASKS)
-            for _ in _columns(ps, n):
+            for _ in _columns(ps):
                 pass
             assert (len(characters._TABLES), len(partitions._BEAD_MASKS)) == kept
 

@@ -244,6 +244,9 @@ class TestTable:
             # A write holds at most the header, whose two label lists take
             # 2 * p(12) + 6 lines, or one row.
             assert max(map(len, writes)) <= (2 * 77 + 6) * longest
+            # The header, one write per row of the p(12) = 77, and the footer.
+            assert len(writes) == 77 + 2
+            assert all(writes)
         else:
             # A write is one line of plain or csv and its newline.
             assert max(map(len, writes)) <= longest + 1
@@ -636,6 +639,25 @@ class TestRun:
         assert first == "error: RuntimeError: invariant broken"
         assert ignored.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
         assert broken == "BrokenPipeError: [Errno 32] Broken pipe"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command, expected", [
+        ("table --n 99 2>&-", 2),
+        ("table --n 99 2>/dev/full", 2),
+        ("table --n 12 2>&1 | head -1", 3),
+        ("table --n 3 >/dev/full 2>/dev/full", 3),
+    ])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, command, expected, unbuffered):
+        # The error line is lost, not moved to stdout, and the failed write
+        # turns the code neither into 1, that of a failed verification, nor
+        # into 120.
+        env = {**BUFFERED_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else BUFFERED_ENV
+        script = f'"$0" -m charblocks.cli {command}; exit "${{PIPESTATUS[0]}}"'
+        proc = subprocess.run(["bash", "-c", script, sys.executable], env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == expected
+        assert b"error" not in proc.stdout
 
     def test_atexit_handlers_do_not_run(self):
         setup = "atexit.register(print, 'atexit ran', file=sys.stderr)"

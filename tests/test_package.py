@@ -1,5 +1,7 @@
-"""The charblocks package: its public names, each resolved from its module on first use."""
+"""The charblocks package: its public names, each resolved from its module on
+first use, and its modules, which keep what pyproject.toml promises."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -10,8 +12,9 @@ import pytest
 
 import charblocks
 
-SRC_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+SRC = Path(__file__).resolve().parent.parent / "src"
+SRC_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(SRC)}
+MODULES = sorted((SRC / "charblocks").glob("*.py"))
 
 # Every public name by the module that defines it, as at the eager package.
 EXPORTS = {
@@ -72,3 +75,19 @@ def test_import_loads_no_submodule():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["", "charblocks.partitions"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_needs_python_3_10_and_the_standard_library(path):
+    # pyproject.toml promises requires-python = ">=3.10" and dependencies = [].
+    tree = ast.parse(path.read_text(), feature_version=(3, 10))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # not an import, or a relative one: within the package
+        for name in names:
+            top = name.partition(".")[0]
+            assert top == "charblocks" or top in sys.stdlib_module_names, f"imports {name}"

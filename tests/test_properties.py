@@ -84,7 +84,7 @@ def test_char_value_matches_ascending_recursion(pair):
 @given(st.integers(0, 8).flatmap(partition_of))
 def test_column_matches_ascending_recursion(lam):
     # A walk over the one class gives every value on lam.
-    (_, col), = _columns([lam], sum(lam))
+    (_, col), = _columns([lam])
     assert col == [mn_ascending(nu, lam) for nu in partitions_of(sum(lam))]
 
 
@@ -97,7 +97,7 @@ def test_batch_columns_match_single_columns(drawn):
     # char_value gives.
     n, classes = drawn
     ps = partitions_of(n)
-    walked = list(_columns(classes, n))
+    walked = list(_columns(classes))
     assert sorted(lam for lam, _ in walked) == sorted(classes)
     for lam, col in walked:
         assert len(col) == len(ps)
