@@ -12,10 +12,9 @@ from .characters import _columns
 from .partitions import (
     _bead_masks,
     _core_mask,
+    _diagonal_hooks,
     _parts,
     check_partition,
-    diagonal_hooks,
-    is_e_class_regular,
     is_e_core,
     partitions_of,
 )
@@ -107,13 +106,17 @@ def extremal_lambda(b: BlockId):
     """
     if b.e < 2:
         raise ValueError("extremal construction needs e >= 2")
+    check_partition(b.core)
+    return _extremal_lambda(b)
+
+
+def _extremal_lambda(b: BlockId):
+    """extremal_lambda of a block that blocks_of built, whose e and core are
+    not checked again.  A class that is not e-class-regular still raises."""
     we = b.weight * b.e
-    if not b.core:
-        lam = (we - 1, 1)
-    else:
-        hooks = diagonal_hooks(b.core)
-        lam = (we + hooks[0],) + hooks[1:]
-    if not is_e_class_regular(lam, b.e):
+    hooks = _diagonal_hooks(b.core)
+    lam = (we + hooks[0],) + hooks[1:] if hooks else (we - 1, 1)
+    if not all(part % b.e for part in lam):
         raise RuntimeError(f"extremal class {lam} of block {b} is not {b.e}-class-regular")
     return lam
 

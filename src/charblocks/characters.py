@@ -195,9 +195,9 @@ def character_table_json(n: int) -> None:
     strings, laid out as json.dumps(..., indent=2) lays it out, a row at a time.
     The header, each row with the separator before it, and the footer are one
     write each, as in character_table_text."""
-    import json
+    from ._jsontext import dumps
     labels = [render_partition(p) for p in partitions_of(n)]
-    head = json.dumps({"n": n, "classes": labels, "characters": labels}, indent=2)
+    head = dumps({"n": n, "classes": labels, "characters": labels}, indent=2)
     write = sys.stdout.write
     write(head[:-2] + ',\n  "values": [\n')
     sep = ""

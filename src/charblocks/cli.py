@@ -5,6 +5,7 @@ sweep fails, 2 on usage or parse errors, 3 on any other error.  Each command's
 handler imports the library modules it runs, so a command loads no other.
 """
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -37,8 +38,8 @@ _MAX_N = 30
 def _emit(args, obj, lines) -> int:
     """Print obj as one JSON line under --format json, else the lines; return 0."""
     if args.format == "json":
-        import json
-        print(json.dumps(obj))
+        from ._jsontext import dumps
+        print(dumps(obj))
     else:
         for line in lines:
             print(line)
@@ -326,11 +327,23 @@ def main(argv=None) -> int:
         # Anything else is a fault, not a usage error or a failed check.
         _to_stderr(f"error: {type(exc).__name__}: {exc}")
         if isinstance(exc, OSError):
-            # Taken as a failed write to stdout (its reader gone, its device
-            # full): what stdout still holds goes to devnull, or the flush at
-            # exit fails again (status 120).
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _drop_stdout()
         return 3
+
+
+def _drop_stdout() -> None:
+    """After an OSError, taken as a failed write to stdout (its reader gone,
+    its device full): point stdout's descriptor at devnull, so that what
+    stdout still holds does not fail again at the flush on exit (status
+    120).  A stdout with no descriptor, as an in-process caller may set, is
+    left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # None, closed, or io.UnsupportedOperation
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def run() -> None:
@@ -338,12 +351,19 @@ def run() -> None:
     neither the interpreter's teardown (which frees every module and the
     engine's kept tables) nor atexit handlers run.
 
+    The cyclic garbage collector is off for the whole run.  The process ends
+    in os._exit, which frees nothing, and the commands leave no reference
+    cycles (tests/test_golden.py checks every golden command; the standard
+    modules that a --jobs run imports leave a few dozen objects, once), so a
+    collection would walk the heap to free next to nothing.
+
     First it flushes stdout and stderr as that teardown would.  main has
     flushed stdout on a normal return, so only output still held on an
     exit-2 or exit-3 path is written here.  A failed stdout flush exits 120
     and is reported on stderr as CPython reports it.  stderr holds output
     only after a write that failed and was dropped (_to_stderr), so a failed
     stderr flush changes no exit code."""
+    gc.disable()
     code = main(sys.argv[1:])
     for stream in (sys.stdout, sys.stderr):
         if stream is None:  # as at exit: the fd was closed when the process started

@@ -5,7 +5,7 @@ tuple is the unique partition of 0.  All indices in the hook API are 1-based
 so cells read as (row, column).
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain, islice, repeat
 from operator import neg
 
@@ -108,10 +108,16 @@ def hook_lengths(p):
 
 def diagonal_hooks(p):
     """Hook lengths on the main diagonal, (h_11, ..., h_kk) with k maximal."""
-    conj = conjugate(p)  # checks p
-    # 0-based cell (k, k) lies in the diagram iff p[k] > k; its hook is
-    # (p[k] - k - 1) + (conj[k] - k - 1) + 1.
-    return tuple(p[k] + conj[k] - 2 * k - 1 for k in range(len(p)) if p[k] > k)
+    return _diagonal_hooks(check_partition(p))
+
+
+def _diagonal_hooks(p) -> tuple:
+    """diagonal_hooks of a partition tuple that the library built, unchecked."""
+    # 0-based cell (k, k) lies in the diagram iff p[k] > k.  Its hook is its
+    # arm p[k] - k - 1, its leg (the number of parts longer than k, less
+    # k + 1) and itself; p is weakly decreasing, so bisection counts the parts.
+    return tuple(p[k] + bisect_left(p, -k, key=neg) - 2 * k - 1
+                 for k in range(len(p)) if p[k] > k)
 
 
 def _beads(p, count: int) -> int:

@@ -10,13 +10,13 @@ the rows instead.
 from functools import partial
 from itertools import chain, combinations
 
-from .blocks import blocks_of, count_matrix, extremal_lambda
+from .blocks import _extremal_lambda, blocks_of, count_matrix
 from .characters import _columns, _table
 from .partitions import (
     _bead_masks,
+    _diagonal_hooks,
     _moves,
     _parts,
-    diagonal_hooks,
     dominance_leq,
     partitions_of,
     render_partition,
@@ -39,7 +39,7 @@ class SweepReport:
         return self.verdict == "pass"
 
     def to_json(self, meta: bool = True) -> str:
-        import json
+        from ._jsontext import dumps
         obj = {
             "params": self.params,
             "rows": self.rows,
@@ -49,7 +49,7 @@ class SweepReport:
         if meta:
             from datetime import datetime, timezone
             obj["meta"] = {"generated": datetime.now(timezone.utc).isoformat()}
-        return json.dumps(obj, indent=2)
+        return dumps(obj, indent=2)
 
     def to_text(self) -> str:
         lines = [f"params: {self.params}"]
@@ -120,7 +120,7 @@ def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
 def _theorem1_row(b, classes, counts):
     target = b.weight + 1
     best = min(filter(None, counts), default=None)
-    ext = extremal_lambda(b)
+    ext = _extremal_lambda(b)
     ext_count = counts[classes.index(ext)]
     return {
         "min": best,
@@ -296,7 +296,7 @@ def _rowstructure_rows(e_values, n: int):
     rows = []
     blocks = {b: members for e in e_values for b, members in blocks_of(e, n).items()
               if b.core}
-    extremal = {b: extremal_lambda(b) for b in blocks}
+    extremal = {b: _extremal_lambda(b) for b in blocks}
     # Blocks often share their extremal class, also across e: one column per class.
     classes = set(extremal.values())
     if n >= 2:
@@ -312,7 +312,7 @@ def _rowstructure_rows(e_values, n: int):
         we = b.weight * b.e
         ext_ok = all((b.core[0] + d,) + b.core[1:] + (1,) * (we - d) in support
                      for d in range(we + 1))
-        dom_ok = all(dominance_leq(lam, diagonal_hooks(nu)) for nu in members if nu in support)
+        dom_ok = all(dominance_leq(lam, _diagonal_hooks(nu)) for nu in members if nu in support)
         rows.append({
             "check": "block",
             "e": b.e,

@@ -296,9 +296,25 @@ class TestExtremal:
 
     def test_irregular_construction_raises(self, monkeypatch):
         # (2,) is what the construction gives if the diagonal hooks were (2,)
-        monkeypatch.setattr(blocks, "diagonal_hooks", lambda core: (2,))
+        monkeypatch.setattr(blocks, "_diagonal_hooks", lambda core: (2,))
         with pytest.raises(RuntimeError, match=r"block BlockId\(e=2, core=\(1,\)"):
             extremal_lambda(BlockId(e=2, core=(1,), weight=0))
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: sweeps.verify_theorem1([2], 1),
+        lambda: sweeps.nonvanishing_row_structure_check(1, [2]),
+    ], ids=["theorem1", "rowstructure"])
+    def test_sweeps_keep_the_regularity_check(self, monkeypatch, sweep):
+        # The sweeps skip the checks of the cores blocks_of built, not this one.
+        monkeypatch.setattr(blocks, "_diagonal_hooks", lambda core: (2,))
+        with pytest.raises(RuntimeError, match=r"block BlockId\(e=2, core=\(1,\)"):
+            sweep()
+
+    def test_checks_a_core_that_blocks_of_did_not_build(self):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            extremal_lambda(BlockId._make((2, (1, 2), 0)))
+        with pytest.raises(ValueError, match="e >= 2"):
+            extremal_lambda(BlockId._make((1, (), 3)))
 
     def test_attains_weight_plus_one(self):
         for e in range(2, 6):

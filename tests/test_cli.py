@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import io
 import json
 import os
@@ -510,6 +511,25 @@ class TestUnexpectedErrors:
         assert out == ""
         assert err == f"error: {error.__name__}: invariant broken\n"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("stdout", ["stringio", "file"])
+    def test_os_error_exit_3_whatever_stdout_is(self, capsys, monkeypatch, tmp_path, stdout):
+        # A stdout with no descriptor is left alone; one with a descriptor is
+        # pointed at devnull, and the descriptor opened for that is closed.
+        from charblocks import cli
+
+        def fail(p, e):
+            raise OSError("device full")
+
+        monkeypatch.setattr(cli, "e_core", fail)
+        with open(tmp_path / "out", "w") as file:
+            monkeypatch.setattr(sys, "stdout", io.StringIO() if stdout == "stringio" else file)
+            fds = len(os.listdir("/proc/self/fd"))
+            code = main(["core", "--e", "2", "1"])
+            assert len(os.listdir("/proc/self/fd")) == fds
+        assert code == 3
+        assert capsys.readouterr().err == "error: OSError: device full\n"
+
 
 class TestRoundTrip:
     def test_printed_partitions_reparse(self, capsys):
@@ -547,7 +567,7 @@ class TestStartup:
     def test_one_job_loads_no_pool_dataclasses_or_datetime(self):
         loaded = self.probe(*self.ARGV)
         assert "charblocks.sweeps" in loaded
-        assert "json" in loaded
+        assert "json" not in loaded
         unused = {"concurrent.futures.process", "multiprocessing", "dataclasses",
                   "inspect", "datetime"}
         assert not unused & loaded
@@ -557,6 +577,14 @@ class TestStartup:
     def test_plain_output_loads_no_json_or_future(self, argv):
         loaded = self.probe(*argv)
         assert "charblocks.cli" in loaded
+        assert not {"json", "__future__", "charblocks._jsontext"} & loaded
+
+    @pytest.mark.parametrize("argv", [("core", "--e", "2", "1", "--format", "json"),
+                                      ("table", "--n", "4", "--format", "json"), ARGV],
+                             ids=["core", "table", "verify"])
+    def test_json_output_loads_the_writer_not_json(self, argv):
+        loaded = self.probe(*argv)
+        assert "charblocks._jsontext" in loaded
         assert not {"json", "__future__"} & loaded
 
     def test_csv_table_loads_no_csv_module(self):
@@ -658,6 +686,26 @@ class TestRun:
                               capture_output=True, timeout=60)
         assert proc.returncode == expected
         assert b"error" not in proc.stdout
+
+    def test_gc_is_off_during_a_run(self):
+        # main reports what it found; only run turns the collector off.
+        setup = ("import gc\n"
+                 "def report(p, e):\n"
+                 "    print(gc.isenabled(), file=sys.stderr)\n"
+                 "    return ()\n"
+                 "cli.e_core = report")
+        assert self.probe(setup, "core", "--e", "2", "1")[2] == "False\n"
+        assert self.probe(setup, "core", "--e", "2", "1", end="sys.exit(cli.main())")[2] == "True\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_gc_as_it_found_it(self, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["verify", "theorem1", "--max-n", "4", "--format", "json"]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_atexit_handlers_do_not_run(self):
         setup = "atexit.register(print, 'atexit ran', file=sys.stderr)"

@@ -10,6 +10,7 @@ them unchanged.  To re-record after a deliberate output change:
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -96,6 +97,21 @@ def test_matches_golden(name):
     out, code = run_cli(CASES[name])
     assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
     assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_makes_no_reference_cycle(name):
+    # cli.run turns the cyclic collector off for the whole process, which
+    # leaks nothing only while no command leaves a reference cycle behind.
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        run_cli(CASES[name])
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
