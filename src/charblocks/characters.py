@@ -98,7 +98,8 @@ def _columns(classes):
 def char_value(nu, lam) -> int:
     """The value of the irreducible character labeled nu on the class lam: rim
     hooks are removed from nu, largest class part first, each signed by
-    (-1)^leg."""
+    (-1)^leg.  These removals share nothing with the additions of _columns,
+    so the tests take char_value as the reference for its columns."""
     nu = check_partition(nu)
     lam = check_partition(sorted(lam, reverse=True))
     if sum(nu) != sum(lam):
@@ -153,7 +154,9 @@ def centralizer_order(lam) -> int:
 
 def _rows(n: int):
     """The rows of the table of S_n, tuples in partitions_of(n) order: the
-    transpose of its columns."""
+    transpose of its columns.  The formatters print each row as it comes, so
+    only the columns live for the whole call and the whole text is never
+    built."""
     ps = partitions_of(n)
     columns = dict(_columns(ps))
     return zip(*[columns[lam] for lam in ps])

@@ -357,23 +357,20 @@ def run() -> None:
     modules that a --jobs run imports leave a few dozen objects, once), so a
     collection would walk the heap to free next to nothing.
 
-    First it flushes stdout and stderr as that teardown would.  main has
-    flushed stdout on a normal return, so only output still held on an
-    exit-2 or exit-3 path is written here.  A failed stdout flush exits 120
-    and is reported on stderr as CPython reports it.  stderr holds output
-    only after a write that failed and was dropped (_to_stderr), so a failed
-    stderr flush changes no exit code."""
+    First it flushes stdout as that teardown would.  main has flushed stdout
+    on a normal return, so only output still held on an exit-2 or exit-3
+    path is written here.  A failed flush exits 120 and is reported on
+    stderr as CPython reports it.  stderr needs no flush: it is line-buffered
+    (write-through under -u), and every line _to_stderr writes ends in a
+    newline."""
     gc.disable()
     code = main(sys.argv[1:])
-    for stream in (sys.stdout, sys.stderr):
-        if stream is None:  # as at exit: the fd was closed when the process started
-            continue
+    if sys.stdout is not None:  # as at exit: fd 1 was closed when the process started
         try:
-            stream.flush()
+            sys.stdout.flush()
         except OSError as exc:
-            if stream is sys.stdout:
-                _to_stderr(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}")
-                code = 120
+            _to_stderr(f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}")
+            code = 120
     os._exit(code)
 
 

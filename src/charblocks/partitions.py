@@ -231,7 +231,9 @@ def partitions_of(n: int):
     """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last.
 
     Sizes are built once, smallest first: those of m are (k,) + rest for k from
-    m down to 1, over the partitions rest of m - k with first part at most k."""
+    m down to 1, over the partitions rest of m - k with first part at most k.
+    They are kept for the life of the process, as sweeps and table ask for
+    every size anyway."""
     if n < 0:
         raise ValueError("n must be non-negative")
     for m in range(len(_PARTITIONS), n + 1):

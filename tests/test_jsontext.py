@@ -5,6 +5,7 @@ indent=2, for every value the outputs can hold.  Runs are derandomized, so
 every run draws the same examples.
 """
 
+import enum
 import json
 
 import pytest
@@ -49,6 +50,24 @@ def test_indented_matches_json(value):
 def test_other_types_raise_type_error(value, indent):
     with pytest.raises(TypeError):
         dumps(value, indent=indent)
+
+
+class _Text(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+# json writes a subclass of str or int as its base class, at any depth.
+@pytest.mark.parametrize("value", [
+    _Text('say "\xe9"'), _Level.LOW,
+    [_Text('say "\xe9"'), _Level.LOW], {"text": _Text('say "\xe9"'), "level": (_Level.LOW,)},
+], ids=["str-subclass", "int-enum", "nested-list", "nested-dict"])
+@pytest.mark.parametrize("indent", [None, 2])
+def test_subclasses_are_written_as_their_base(value, indent):
+    assert dumps(value, indent=indent) == json.dumps(value, indent=indent)
 
 
 # Negative control: near misses of the writer that the properties above would

@@ -194,6 +194,10 @@ class TestBetaSets:
         with pytest.raises(ValueError, match="n must be non-negative"):
             _bead_masks(-1)
 
+    def test_partitions_of_refuses_a_negative_size(self):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            partitions_of(-1)
+
 
 class TestHookRemoval:
     def test_examples(self):

@@ -1,13 +1,55 @@
-"""README.md names every public name of the package."""
+"""README.md names every public name and every module of the package, and
+its CLI examples run."""
 
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import charblocks
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+TEXT = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def section(title: str) -> str:
+    """The text of the README section headed `## title`, up to the next one."""
+    start = TEXT.index(f"\n## {title}\n")
+    end = TEXT.find("\n## ", start + 1)
+    return TEXT[start:] if end < 0 else TEXT[start:end]
+
+
+def cli_examples():
+    """The lines of the first sh block of the CLI section."""
+    block = section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
 
 
 def test_readme_names_every_public_name():
-    text = README.read_text(encoding="utf-8")
-    assert [name for name in charblocks.__all__ if not re.search(rf"\b{name}\b", text)] == []
+    assert [name for name in charblocks.__all__ if not re.search(rf"\b{name}\b", TEXT)] == []
+
+
+def test_layout_names_every_module():
+    layout = section("Layout")
+    modules = sorted(path.name for path in (ROOT / "src" / "charblocks").glob("*.py"))
+    assert [name for name in modules if f"`src/charblocks/{name}`" not in layout] == []
+
+
+def example_id(line: str) -> str:
+    words = shlex.split(line, comments=True)
+    return "-".join(words[1:3] if words[1:2] == ["verify"] else words[1:2])
+
+
+@pytest.mark.parametrize("line", cli_examples(), ids=example_id)
+def test_cli_example_exits_0(line):
+    program, *argv = shlex.split(line, comments=True)
+    assert program == "charblocks"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "charblocks.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout and not done.stderr
