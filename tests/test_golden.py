@@ -82,6 +82,9 @@ CASES = {
     # lemma1 to m = 12, where results of many sizes share their first parts.
     "verify-lemma1-12": ("verify", "lemma1", "--max-size", "12", "--format", "json",
                          "--no-meta"),
+    # The command list and each command's usage.
+    "help": ("--help",),
+    **{f"help-{command}": (command, "--help") for command in cli._COMMANDS},
 }
 
 

@@ -1,6 +1,8 @@
-"""README.md names every public name and every module of the package, and
-its CLI examples run."""
+"""README.md names every public name and every module of the package, its
+CLI examples run, and its per-sweep option table matches the CLI."""
 
+import contextlib
+import io
 import os
 import re
 import shlex
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import charblocks
+from charblocks import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TEXT = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -53,3 +56,36 @@ def test_cli_example_exits_0(line):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout and not done.stderr
+
+
+def sweep_table():
+    """The header cells and the rows of the CLI section's per-sweep option table."""
+    rows = [line.strip("|").split("|") for line in section("CLI").splitlines()
+            if line.startswith("| ")]
+    header, *body = [[cell.strip() for cell in row] for row in rows]
+    return header, body
+
+
+def test_sweep_table_matches_the_sweeps():
+    header, body = sweep_table()
+    flags = [re.match(r"`(--[a-z-]+)`", cell).group(1) for cell in header[1:]]
+    seen = []
+    for first, *cells in body:
+        for sweep in re.findall(r"`(\w+)`", first):
+            seen.append(sweep)
+            reads = cli._SWEEPS[sweep][1]
+            expected = ["yes" if flag[2:].replace("-", "_") in reads else "no"
+                        for flag in flags]
+            assert cells == expected, sweep
+    assert sorted(seen) == sorted(cli._SWEEPS)
+
+
+def test_sweep_table_defaults_match_verify_help():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["verify", "--help"]) == 0
+    helped = dict(re.findall(r"^  (--[a-z-]+) .*\(default (.+)\)$", buf.getvalue(), re.M))
+    header, _ = sweep_table()
+    for cell in header[1:]:
+        flag, default = re.fullmatch(r"`(--[a-z-]+)` \(default `?([^`]+)`?\)", cell).groups()
+        assert helped[flag] == default, flag
