@@ -27,6 +27,9 @@ class BlockId(namedtuple("BlockId", "e core weight")):
     __slots__ = ()
 
     def __new__(cls, e, core, weight):
+        for name, value in (("e", e), ("weight", weight)):
+            if not isinstance(value, int):  # bools pass, as in check_partition
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         core = check_partition(core)
         if e < 1:
             raise ValueError("e must be >= 1")

@@ -109,11 +109,9 @@ def _cmd_table(args) -> int:
     return 0
 
 
-# The verify options a sweep may read, with their defaults.  They stay unset
-# unless given, so that each sweep, which names the ones it reads, refuses the rest.
-_SWEEP_OPTIONS = {"e": "2..5", "max_n": 10, "max_size": 8}
 # Each sweep: its function in sweeps, and the options it reads in the order
-# that function takes them, before jobs.
+# that function takes them, before jobs.  A sweep refuses an option that only
+# other sweeps read.
 _SWEEPS = {
     "theorem1": ("verify_theorem1", ("e", "max_n")),
     "dichotomy": ("verify_dichotomy", ("e", "max_n")),
@@ -127,11 +125,10 @@ _SWEEPS = {
 
 def _cmd_verify(args) -> int:
     function, reads = _SWEEPS[args.sweep]
-    for name, default in _SWEEP_OPTIONS.items():
-        if name in reads:
-            vars(args).setdefault(name, default)
-        elif name in vars(args):
-            raise ValueError(f"verify {args.sweep} does not read --{name.replace('_', '-')}")
+    for flag, (dest, _, _, _) in _COMMANDS["verify"][3].items():
+        if dest in args.given and dest not in reads and any(
+                dest in other for _, other in _SWEEPS.values()):
+            raise ValueError(f"verify {args.sweep} does not read {flag}")
     values = [_parse_e_range(args.e) if name == "e" else getattr(args, name) for name in reads]
     from . import sweeps
     report = getattr(sweeps, function)(*values, args.jobs)
@@ -142,9 +139,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed() else 1
 
 
-# An option's default in _COMMANDS: a value, or one of these markers.
-_REQUIRED = object()  # the command refuses to run without the option
-_UNSET = object()  # no attribute unless given: verify's sweep options
+# An option's default in _COMMANDS is a value, or _REQUIRED: the command
+# refuses to run without the option.
+_REQUIRED = object()
 
 _FORMAT = ("format", ("plain", "json"), "plain", "output format")
 _BLOCK_OPTIONS = {
@@ -177,11 +174,9 @@ _COMMANDS = {
         "--format": ("format", ("plain", "csv", "json"), "plain", "output format")}),
     "verify": (_cmd_verify, "run a verification sweep",
                (("sweep", tuple(_SWEEPS), "the sweep to run"),), {
-        "--e": ("e", str, _UNSET,
-                f"e value or inclusive range a..b (default {_SWEEP_OPTIONS['e']})"),
-        "--max-n": ("max_n", int, _UNSET, f"largest n (default {_SWEEP_OPTIONS['max_n']})"),
-        "--max-size": ("max_size", int, _UNSET,
-                       f"size bound for lemma1 (default {_SWEEP_OPTIONS['max_size']})"),
+        "--e": ("e", str, "2..5", "e value or inclusive range a..b"),
+        "--max-n": ("max_n", int, 10, "largest n"),
+        "--max-size": ("max_size", int, 8, "size bound for lemma1"),
         "--jobs": ("jobs", int, 1, "worker processes"),
         "--format": _FORMAT,
         "--no-meta": ("no_meta", bool, False, "omit timestamp from JSON")}),
@@ -230,7 +225,7 @@ def _help(command=None) -> str:
         metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
         label = flag if kind is bool else f"{flag} {metavar}"
         usage.append(label if default is _REQUIRED else f"[{label}]")
-        if default not in (_REQUIRED, _UNSET) and kind is not bool:
+        if default is not _REQUIRED and kind is not bool:
             help_text += f" (default {default})"
         rows.append((label, help_text))
     rows.append(("-h, --help", "print this help"))
@@ -246,6 +241,7 @@ def parse_args(argv):
     `--opt=value`, and may be shortened to a prefix that only one of the
     command's options has; the last occurrence wins.  After `--` every token
     is a positional.  `-h` or `--help` prints help on stdout and returns None.
+    The namespace's `given` is the set of the dests of the options argv gave.
     A usage error raises ValueError.
     """
     if argv and (argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0])):
@@ -257,9 +253,9 @@ def parse_args(argv):
     command, *tokens = argv
     _, _, positionals, options = _COMMANDS[command]
     flags = {**options, **_HELP}
-    args = SimpleNamespace(command=command)
+    args = SimpleNamespace(command=command, given=set())
     for dest, _, default, _ in options.values():
-        if default not in (_REQUIRED, _UNSET):
+        if default is not _REQUIRED:
             setattr(args, dest, default)
     pending, unexpected, only_positionals = list(positionals), [], False
     tokens = iter(tokens)
@@ -284,6 +280,7 @@ def parse_args(argv):
             if dest == "help":
                 print(_help(command))
                 return None
+            args.given.add(dest)
             if kind is bool:
                 setattr(args, dest, True)
                 continue
@@ -295,7 +292,7 @@ def parse_args(argv):
     if unexpected:
         raise ValueError(f"{command} does not take {unexpected[0]!r}")
     missing = [flag for flag, (dest, _, default, _) in options.items()
-               if default is _REQUIRED and not hasattr(args, dest)]
+               if default is _REQUIRED and dest not in args.given]
     missing += [name.upper() for name, _, _ in pending]
     if missing:
         raise ValueError(f"{command} needs {', '.join(missing)}")

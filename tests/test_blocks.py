@@ -2,7 +2,7 @@ import concurrent.futures
 import pickle
 import tracemalloc
 from collections import Counter
-from functools import cache, partial
+from functools import partial
 from itertools import combinations
 from operator import mul
 
@@ -37,14 +37,7 @@ from charblocks.sweeps import (
     verify_theorem1,
 )
 from oracles import brute_force_additions, core_counts, greedy_core, multipartition_counts
-
-
-@cache
-def reference_column(lam):
-    """{nu: chi^nu(lam)} over the non-zero values, from char_value, whose hook
-    removals share nothing with the _columns walk's additions; built once per
-    class."""
-    return {nu: v for nu in partitions_of(sum(lam)) if (v := char_value(nu, lam))}
+from references import reference_column
 
 
 class TestBlockId:
@@ -72,10 +65,19 @@ class TestBlockId:
         (1, (1,), 1, "e=1 blocks must have empty core"),
         (3, (3,), 1, r"\(3,\) is not a 3-core"),
         (2, (), 0, "block must live in S_n with n >= 1"),
+        (2, (1,), 1.5, r"weight must be an integer, got 1\.5"),
+        (2, (1,), 1.0, r"weight must be an integer, got 1\.0"),
+        (2.0, (1,), 1, r"e must be an integer, got 2\.0"),
+        ("2", (1,), 1, "e must be an integer, got '2'"),
+        (2.0, (1, 2), -1.0, r"e must be an integer, got 2\.0"),
     ])
     def test_error_messages(self, e, core, weight, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             BlockId(e=e, core=core, weight=weight)
+
+    def test_bool_fields_count_as_ints(self):
+        # As check_partition takes a bool part, BlockId takes a bool e or weight.
+        assert BlockId(e=True, core=(), weight=True) == BlockId(e=1, core=(), weight=1)
 
     def test_hash_is_the_field_tuple_hash(self):
         # Dict and set orders of blocks, and so report row orders, rest on it.

@@ -1,5 +1,4 @@
 import json
-from functools import cache
 from math import factorial
 
 import pytest
@@ -19,14 +18,7 @@ from charblocks.characters import (
 from charblocks.partitions import _bead_masks, _moves, partitions_of, render_partition
 
 from oracles import mn_ascending
-
-
-@cache
-def reference_column(lam):
-    """{nu: chi^nu(lam)} over the non-zero values, from char_value, whose hook
-    removals share nothing with the _columns walk's additions; built once per
-    class."""
-    return {nu: v for nu in partitions_of(sum(lam)) if (v := char_value(nu, lam))}
+from references import reference_column
 
 
 class TestCharValue:

@@ -343,6 +343,16 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: verify {sweep} does not read {option}\n"
 
+    @pytest.mark.parametrize("argv,option", [
+        (["lemma1", "--max-n", "3", "--e", "2"], "--e"),
+        (["chibar", "--max-size", "3", "--max-n", "3"], "--max-size"),
+        (["remark2", "--max-s=3", "--e=2"], "--e"),
+    ])
+    def test_first_unread_option_in_table_order_exit_2(self, capsys, argv, option):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {argv[0]} does not read {option}\n"
+
     def test_reversed_range_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "theorem1", "--e", "5..2")
         assert (code, out, err) == (2, "", "error: empty range '5..2'\n")

@@ -7,7 +7,6 @@ against an independent computation.  Runs are derandomized, so every run draws t
 
 import subprocess
 import sys
-from functools import cache
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -27,16 +26,9 @@ from oracles import (
     mn_ascending,
     rim_walk_removals_of_length,
 )
+from references import reference_column
 
 oracle = settings(derandomize=True, deadline=None, database=None)
-
-
-@cache
-def reference_column(lam):
-    """{nu: chi^nu(lam)} over the non-zero values, from char_value, whose hook
-    removals share nothing with the _columns walk's additions; built once per
-    class."""
-    return {nu: v for nu in partitions_of(sum(lam)) if (v := char_value(nu, lam))}
 
 
 @st.composite
