@@ -366,7 +366,10 @@ def run() -> None:
         try:
             sys.stdout.flush()
         except OSError as exc:
-            _to_stderr(f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}")
+            # CPython 3.13 names the flush where earlier versions name the stream.
+            where = ("on flushing sys.stdout:" if sys.version_info >= (3, 13)
+                     else f"in: {sys.stdout!r}")
+            _to_stderr(f"Exception ignored {where}\n{type(exc).__name__}: {exc}")
             code = 120
     os._exit(code)
 

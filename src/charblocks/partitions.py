@@ -6,7 +6,7 @@ so cells read as (row, column).
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import neg
 
 
@@ -66,38 +66,29 @@ def _parse_int(s: str) -> int:
 
 
 def render_partition(p) -> str:
-    """Canonical literal: parts descending, 'k^m' for runs of length >= 3, '-' if empty."""
-    if not p:
-        return "-"
-    out = []
-    i = 0
+    """Canonical literal of a partition p, a weakly decreasing tuple: 'k^m' for
+    a run of m >= 3 parts equal to k, '-' if empty.  Each run's end is found
+    by bisection, as in _beads; a tuple that is not weakly decreasing is no
+    partition, and its literal is not defined."""
+    out, i = [], 0
     while i < len(p):
-        j = i
-        while j < len(p) and p[j] == p[i]:
-            j += 1
-        run = j - i
-        if run >= 3:
-            out.append(f"{p[i]}^{run}")
-        else:
-            out.extend([str(p[i])] * run)
+        a = p[i]
+        j = bisect_right(p, -a, i, key=neg)
+        out += [f"{a}^{j - i}"] if j - i >= 3 else [str(a)] * (j - i)
         i = j
-    return ",".join(out)
+    return ",".join(out) or "-"
 
 
 def conjugate(p):
-    """Transpose of the Young diagram."""
+    """Transpose of the Young diagram: column j (0-based) holds the parts
+    longer than j, counted by bisection, as in _diagonal_hooks."""
     p = check_partition(p)
-    if not p:
-        return ()
-    cols = [0] * p[0]
-    for part in p:
-        for j in range(part):
-            cols[j] += 1
-    return tuple(cols)
+    return tuple(bisect_left(p, -j, key=neg) for j in range(p[0] if p else 0))
 
 
 def hook_lengths(p):
     """All hook lengths as a dict {(i, j): length}."""
+    p = check_partition(p)
     conj = conjugate(p)
     return {
         (i, j): (p[i - 1] - j) + (conj[j - 1] - i) + 1
@@ -201,6 +192,7 @@ def e_core(p, e: int):
 
 def e_weight(p, e: int) -> int:
     """Number of e-hooks removed to reach the e-core."""
+    p = check_partition(p)
     core = e_core(p, e)
     diff = sum(p) - sum(core)
     if diff % e != 0:
@@ -210,10 +202,13 @@ def e_weight(p, e: int) -> int:
 
 def is_e_core(p, e: int) -> bool:
     """True iff p is its own e-core (e >= 2): no e-hook can be removed, which
-    holds iff no hook length of p is divisible by e (James-Kerber 2.7)."""
+    holds iff no hook length of p is divisible by e (James-Kerber 2.7).  On
+    the abacus: no bead has a free position e below it."""
     if e < 2:
         raise ValueError("is_e_core requires e >= 2")
-    return e_core(p, e) == tuple(p)  # e_core checks p
+    p = check_partition(p)
+    mask = _beads(p, len(p))
+    return not (mask >> e) & ~mask
 
 
 def is_e_class_regular(p, e: int) -> bool:
@@ -265,12 +260,8 @@ def _bead_masks(n: int) -> dict:
 def dominance_leq(a, b) -> bool:
     """Dominance order: every prefix sum of a is at most the matching one of b."""
     a, b = check_partition(a), check_partition(b)
-    if sum(a) != sum(b):
+    n = sum(a)
+    if n != sum(b):
         raise ValueError(f"dominance needs equal sizes: |{a}| != |{b}|")
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa > sb:
-            return False
-    return True
+    # Past its last part a partition's prefix sums stay at its size.
+    return all(x <= y for x, y in zip_longest(accumulate(a), accumulate(b), fillvalue=n))

@@ -7,6 +7,7 @@ conjectural behaviour) always report "pass" and carry their observations in
 the rows instead.
 """
 
+import os
 from functools import partial
 from itertools import chain, combinations
 
@@ -72,14 +73,14 @@ def _sweep(task_fn, ns, jobs: int, params: dict, key=None) -> SweepReport:
     if one is given.
 
     A task costs about p(n), so the largest n is dispatched first.  More than
-    one job runs the tasks in a process pool of at most one worker per task.
-    No task is a usage error."""
+    one job runs the tasks in a process pool of at most one worker per task
+    and per CPU.  No task is a usage error."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ns = sorted(ns, reverse=True)
     if not ns:
         raise ValueError("nothing to verify: the range is empty")
-    workers = min(jobs, len(ns))
+    workers = min(jobs, len(ns), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

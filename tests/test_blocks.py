@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import pickle
 import tracemalloc
 from collections import Counter
@@ -411,7 +412,9 @@ class TestOppositeSignPartner:
 @pytest.fixture
 def fake_pool(monkeypatch):
     """The sweeps' process pool swapped for an in-process one that records
-    the worker counts asked for and the tasks it is given; no pool starts."""
+    the worker counts asked for and the tasks it is given; no pool starts.
+    The host is taken to have 64 CPUs, so only the tasks and jobs cap the
+    workers unless a test sets another count."""
     seen = {"workers": [], "tasks": []}
 
     class FakePool:
@@ -430,6 +433,7 @@ def fake_pool(monkeypatch):
 
     # _sweep imports the pool class when it needs one, so patch it at its source.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     return seen
 
 
@@ -456,13 +460,21 @@ class TestSweeps:
     def test_parallel_matches_serial(self, sweep):
         assert sweep(2).to_json(meta=False) == sweep(1).to_json(meta=False)
 
-    def test_workers_capped_at_task_count(self, fake_pool):
+    def test_workers_capped_at_task_count(self, fake_pool, monkeypatch):
         started = fake_pool["workers"]
         report = verify_chibar(3, jobs=64)
         assert started == [3]
         assert report.to_json(meta=False) == verify_chibar(3).to_json(meta=False)
         verify_chibar(1, jobs=64)
         assert started == [3]  # a single task runs in-process
+        # ... and at the host's CPU count, one if it is unknown.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert verify_chibar(3, jobs=64).to_json(meta=False) == report.to_json(meta=False)
+        sweeps._sweep(lambda n: ([n], []), range(1, 5001), 5000, {})
+        assert started == [3, 2, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert verify_chibar(3, jobs=64).to_json(meta=False) == report.to_json(meta=False)
+        assert started == [3, 2, 2]
 
     # Every sweep hands the pool one int per n (per m for lemma1), covering
     # every e, largest first.

@@ -1,6 +1,7 @@
 """Public entries check their partition arguments once, where they enter.
 
-Each public function that takes a partition rejects a malformed one with
+Each public function that takes a partition reads it once, so an iterator
+gives the answer its tuple gives, and rejects a malformed one with
 ValueError.  Classes are sorted into canonical order before the check, so an
 out-of-order class is accepted; character labels are taken as given, so an
 out-of-order label is rejected.  Every bad input here has size 3, so the
@@ -21,10 +22,11 @@ from charblocks import (
     diagonal_hooks,
     dominance_leq,
     e_core,
+    e_weight,
     is_e_class_regular,
     is_e_core,
 )
-from charblocks.partitions import remove_hooks_of_length
+from charblocks.partitions import hook_lengths, remove_hooks_of_length
 
 UNSORTED = (1, 2)
 ZERO_PART = (3, 0)
@@ -37,9 +39,11 @@ LABEL_ENTRIES = [
     ("char_degree", char_degree),
     ("chi_bar_coeffs", lambda p: chi_bar_coeffs(p, 1, 4)),
     ("e_core", lambda p: e_core(p, 2)),
+    ("e_weight", lambda p: e_weight(p, 2)),
     ("remove_hooks_of_length", lambda p: remove_hooks_of_length(p, 1)),
     ("is_e_core", lambda p: is_e_core(p, 2)),
     ("conjugate", conjugate),
+    ("hook_lengths", hook_lengths),
     ("diagonal_hooks", diagonal_hooks),
     ("dominance_leq.a", lambda p: dominance_leq(p, (2, 1))),
     ("dominance_leq.b", lambda p: dominance_leq((2, 1), p)),
@@ -69,6 +73,21 @@ def _cases(entries, bad_inputs):
 def test_rejects_malformed_partition(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+# Valid labels and classes of size 3, the size every entry above asks for.
+VALID = [(2, 1), (1, 1, 1), (3,)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [pytest.param(call, id=f"{name}-{kind}")
+     for kind, entries in (("label", LABEL_ENTRIES), ("class", CLASS_ENTRIES))
+     for name, call in entries],
+)
+def test_reads_its_argument_once(call):
+    for p in VALID:
+        assert call(iter(p)) == call(p)
 
 
 @pytest.mark.parametrize("call", [

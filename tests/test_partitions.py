@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import groupby
 
 import pytest
 
@@ -94,6 +95,22 @@ class TestParseRender:
         assert render_partition((2, 2)) == "2,2"
         assert render_partition((10, 2, 1, 1, 1)) == "10,2,1^3"
 
+    def test_render_against_run_lengths(self):
+        def runs(p):
+            out = []
+            for a, run in groupby(p):
+                m = len(list(run))
+                out += [f"{a}^{m}"] if m >= 3 else [str(a)] * m
+            return ",".join(out) or "-"
+
+        for n in range(13):
+            for p in partitions_of(n):
+                assert render_partition(p) == runs(p)
+
+    def test_render_long_runs(self):
+        # Two runs of a million parts each: two bisections, not a walk over the parts.
+        assert render_partition((5,) * 10**6 + (1,) * 10**6) == "5^1000000,1^1000000"
+
     def test_round_trip(self):
         for n in range(9):
             for p in partitions_of(n):
@@ -105,6 +122,13 @@ class TestConjugateHooks:
         assert conjugate((3, 1)) == (2, 1, 1)
         assert conjugate(()) == ()
         assert conjugate((2, 2)) == (2, 2)
+
+    def test_conjugate_counts_longer_parts(self):
+        for n in range(13):
+            for p in partitions_of(n):
+                conj = conjugate(p)
+                assert len(conj) == max(p, default=0)
+                assert all(c == sum(1 for x in p if x > j) for j, c in enumerate(conj))
 
     def test_conjugate_involution(self):
         for n in range(9):
@@ -343,6 +367,11 @@ class TestCores:
         with pytest.raises(ValueError):
             is_e_core((2, 1), 1)
 
+    def test_is_e_core_at_scale(self):
+        # A staircase has odd hooks only; a column of a million boxes has a 2-hook.
+        assert is_e_core(tuple(range(2000, 0, -1)), 2)
+        assert not is_e_core((1,) * 10**6, 2)
+
     def test_is_e_core_matches_hook_criterion(self):
         # James-Kerber 2.7: p is an e-core iff no hook length of p is divisible by e.
         for n in range(11):
@@ -407,3 +436,17 @@ class TestDominance:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             dominance_leq((2,), (1, 1, 1))
+
+    def test_against_padded_prefix_sums(self):
+        def prefix_sums(p, length):
+            padded = list(p) + [0] * (length - len(p))
+            return [sum(padded[:i + 1]) for i in range(length)]
+
+        for n in range(10):
+            sums = {p: prefix_sums(p, n) for p in partitions_of(n)}
+            for a in sums:
+                for b in sums:
+                    expected = all(x <= y for x, y in zip(sums[a], sums[b]))
+                    assert dominance_leq(a, b) == expected
+                    # Conjugation reverses the order (Macdonald I.1.11).
+                    assert dominance_leq(conjugate(b), conjugate(a)) == expected
