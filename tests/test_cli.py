@@ -262,8 +262,10 @@ class TestTable:
     def test_closed_stdout_exits_3(self, argv):
         # Each command prints more than a 64 KB pipe holds.  stdout is block
         # buffered, as a shell pipe leaves it, so bytes are still held at exit.
+        # The reader is unbuffered: a buffered one may take 8 KB for read(10),
+        # room enough for verify-json's last 3.8 KB, and the child exits 0.
         proc = subprocess.Popen([sys.executable, "-m", "charblocks.cli", *argv], env=BUFFERED_ENV,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
         proc.stdout.read(10)
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
