@@ -11,6 +11,7 @@ from collections import namedtuple
 from .characters import _columns
 from .partitions import (
     _bead_masks,
+    _check_int,
     _core_mask,
     _diagonal_hooks,
     _parts,
@@ -21,15 +22,14 @@ from .partitions import (
 
 
 class BlockId(namedtuple("BlockId", "e core weight")):
-    """A block's name (e, core, weight), a named tuple: BlockId(...)
-    canonicalises the core and checks all three."""
+    """A block's name (e, core, weight), a named tuple: BlockId(...) and
+    _replace canonicalise the core and check all three."""
 
     __slots__ = ()
 
     def __new__(cls, e, core, weight):
-        for name, value in (("e", e), ("weight", weight)):
-            if not isinstance(value, int):  # bools pass, as in check_partition
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_int("e", e)
+        _check_int("weight", weight)
         core = check_partition(core)
         if e < 1:
             raise ValueError("e must be >= 1")
@@ -44,6 +44,11 @@ class BlockId(namedtuple("BlockId", "e core weight")):
         if self.n < 1:
             raise ValueError("block must live in S_n with n >= 1")
         return self
+
+    def _replace(self, **fields):
+        """A copy with the given fields replaced, checked as BlockId(...) checks.
+        _make stays unchecked: blocks_of builds its blocks through it."""
+        return BlockId(*super()._replace(**fields))
 
     @property
     def n(self) -> int:

@@ -22,6 +22,12 @@ def check_partition(parts) -> tuple:
     return p
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int (a bool counts, as in check_partition)."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # Largest size of a partition literal; a bead mask of that many bits is 1.25 MB.
 _MAX_LITERAL_SIZE = 10**7
 
@@ -185,6 +191,7 @@ def _core_mask(mask, e: int) -> int:
 def e_core(p, e: int):
     """The e-core: what is left of p once no e-hook remains to remove (_core_mask)."""
     p = check_partition(p)
+    _check_int("e", e)
     if e < 1:
         raise ValueError("e must be >= 1")
     return _parts(_core_mask(_beads(p, len(p)), e))
@@ -204,6 +211,7 @@ def is_e_core(p, e: int) -> bool:
     """True iff p is its own e-core (e >= 2): no e-hook can be removed, which
     holds iff no hook length of p is divisible by e (James-Kerber 2.7).  On
     the abacus: no bead has a free position e below it."""
+    _check_int("e", e)
     if e < 2:
         raise ValueError("is_e_core requires e >= 2")
     p = check_partition(p)
@@ -213,6 +221,7 @@ def is_e_core(p, e: int) -> bool:
 
 def is_e_class_regular(p, e: int) -> bool:
     """True iff no part of the class p is divisible by e (e >= 2)."""
+    _check_int("e", e)
     if e < 2:
         raise ValueError("is_e_class_regular requires e >= 2")
     return all(part % e != 0 for part in check_partition(sorted(p, reverse=True)))

@@ -103,6 +103,19 @@ class TestBlockId:
         copy = pickle.loads(pickle.dumps(b))
         assert copy == b and type(copy) is BlockId and copy.n == 7
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"core": (5,)}, r"\(5,\) is not a 2-core"),
+        ({"weight": -3}, "weight must be non-negative"),
+        ({"e": 0}, "e must be >= 1"),
+    ])
+    def test_replace_checks_as_the_constructor(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockId(2, (), 1)._replace(**fields)
+
+    def test_replace_gives_the_constructed_block(self):
+        b = BlockId(2, (), 1)._replace(weight=2)
+        assert b == BlockId(2, (), 2) and type(b) is BlockId and b.n == 4
+
 
 class TestBlockPartitions:
     def test_examples(self):

@@ -104,3 +104,34 @@ def test_out_of_order_class_is_sorted():
     assert char_value((2, 2), (1, 3)) == char_value((2, 2), (3, 1)) == -1
     assert centralizer_order((1, 3)) == centralizer_order((3, 1)) == 3
     assert is_e_class_regular((1, 3), 2) == is_e_class_regular((3, 1), 2) is True
+
+
+# Entries taking e, given a partition they accept and an e that is no int.
+E_ENTRIES = [
+    ("e_core", lambda e: e_core((2, 1), e)),
+    ("e_weight", lambda e: e_weight((2, 1), e)),
+    ("is_e_core", lambda e: is_e_core((2, 1), e)),
+    ("is_e_class_regular-5", lambda e: is_e_class_regular((5,), e)),
+    ("is_e_class_regular-3", lambda e: is_e_class_regular((3,), e)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in E_ENTRIES])
+@pytest.mark.parametrize("e", [2.0, 2.5, "2"])
+def test_rejects_non_int_e(call, e):
+    with pytest.raises(ValueError, match="^e must be an integer, got "):
+        call(e)
+
+
+def test_non_int_e_keeps_each_entry_s_check_order():
+    # e_core checks its partition first, the predicates check e first.
+    with pytest.raises(ValueError, match="^partition parts"):
+        e_core((0,), 2.5)
+    with pytest.raises(ValueError, match="^e must be an integer"):
+        is_e_core((0,), 2.5)
+    with pytest.raises(ValueError, match="^e must be an integer"):
+        is_e_class_regular((0,), 2.5)
+    # A bool counts as an int, as in check_partition.
+    assert e_core((3, 1), True) == e_core((3, 1), 1) == ()
+    with pytest.raises(ValueError, match="^is_e_core requires e >= 2$"):
+        is_e_core((2, 1), True)

@@ -91,3 +91,10 @@ def test_module_needs_python_3_10_and_the_standard_library(path):
         for name in names:
             top = name.partition(".")[0]
             assert top == "charblocks" or top in sys.stdlib_module_names, f"imports {name}"
+
+
+def test_src_has_no_assert():
+    # python -O strips an assert, so an invariant that rests on one goes unchecked.
+    found = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, found
