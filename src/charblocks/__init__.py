@@ -8,11 +8,11 @@ command loads only the modules it runs.
 from importlib import import_module
 
 _EXPORTS = {
-    "partitions": ("conjugate", "diagonal_hooks", "dominance_leq", "e_core", "e_weight",
+    "partitions": ("conjugate", "diagonal_hooks", "dominance_leq", "e_core",
                    "is_e_class_regular", "is_e_core", "parse_partition", "partitions_of",
                    "render_partition"),
     "characters": ("CharEngine", "centralizer_order", "char_degree", "char_value",
-                   "character_table", "chi_bar_coeffs"),
+                   "character_table"),
     "blocks": ("BlockId", "CountReport", "block_partitions", "blocks_of", "c_mu",
                "count_matrix", "extremal_lambda", "min_c_over_regular"),
     "sweeps": ("SweepReport", "lemma1_sweep", "nonvanishing_row_structure_check",

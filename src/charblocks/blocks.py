@@ -11,6 +11,7 @@ from collections import namedtuple
 from .characters import _columns
 from .partitions import (
     _bead_masks,
+    _check_class,
     _check_int,
     _core_mask,
     _diagonal_hooks,
@@ -68,7 +69,7 @@ def block_partitions(b: BlockId):
 
 def c_mu(b: BlockId, lam) -> CountReport:
     """Count (with witnesses) the block members whose character is non-zero on lam."""
-    lam = check_partition(sorted(lam, reverse=True))
+    lam = _check_class(lam)
     if sum(lam) != b.n:
         raise ValueError(f"|lambda| = {sum(lam)} != block n = {b.n}")
     (_, col), = _columns([lam])
@@ -145,6 +146,8 @@ def min_c_over_regular(b: BlockId):
 def blocks_of(e: int, n: int) -> dict:
     """All blocks of S_n for a given e with their members, {BlockId: members},
     in reverse core order: one block per e-core among the partitions of n."""
+    _check_int("e", e)
+    _check_int("n", n)
     if e < 2:
         raise ValueError("block enumeration needs e >= 2")
     masks = _bead_masks(n)

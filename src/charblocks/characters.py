@@ -24,8 +24,8 @@ from math import factorial
 from .partitions import (
     _bead_masks,
     _beads,
+    _check_class,
     _moves,
-    _parts,
     check_partition,
     hook_lengths,
     partitions_of,
@@ -39,8 +39,8 @@ _TABLES = {}  # (size, t) -> per position of partitions_of(size), (even-leg, odd
 def _table(size: int, t: int) -> tuple:
     """For each partition of size, the positions in partitions_of(size + t) that
     adding a t-hook reaches with even and with odd leg; built once per process.
-    Row i holds the signs of chi_bar_coeffs(partitions_of(size)[i], t, size + t):
-    +1 at the even-leg positions, -1 at the odd.
+    Row i holds the signs of the chi-bar combination of partitions_of(size)[i]
+    and t: +1 at the even-leg additions, -1 at the odd.
 
     Source mask i is the i-th mask of size with t more beads below it; the
     additions are those of partitions._moves, in one loop over every mask.  A
@@ -101,7 +101,7 @@ def char_value(nu, lam) -> int:
     (-1)^leg.  These removals share nothing with the additions of _columns,
     so the tests take char_value as the reference for its columns."""
     nu = check_partition(nu)
-    lam = check_partition(sorted(lam, reverse=True))
+    lam = _check_class(lam)
     if sum(nu) != sum(lam):
         raise ValueError(f"|nu|={sum(nu)} but |lambda|={sum(lam)}")
     states = {_beads(nu, len(nu)): 1}
@@ -144,7 +144,7 @@ def char_degree(nu) -> int:
 
 def centralizer_order(lam) -> int:
     """z_lambda = product over part sizes i of i^{m_i} * m_i!."""
-    lam = check_partition(sorted(lam, reverse=True))
+    lam = _check_class(lam)
     z = 1
     for i in set(lam):
         m = lam.count(i)
@@ -209,16 +209,3 @@ def character_table_json(n: int) -> None:
         sep = ",\n"
     write("\n  ]\n}\n")
 
-
-def chi_bar_coeffs(phi, length: int, n: int) -> dict:
-    """Coefficients {partition: (-1)^leg} of the partitions of n reachable from
-    phi by adding one rim hook of the given length, in descending order; zero
-    elsewhere.  On len(phi) + length beads an addition slides one bead up by
-    the length."""
-    phi = check_partition(phi)
-    if sum(phi) + length != n:
-        raise ValueError(f"|phi| + length = {sum(phi) + length} != n = {n}")
-    if length < 1:
-        raise ValueError("hook length must be >= 1")
-    moves = _moves(_beads(phi, len(phi) + length), length, True)
-    return {_parts(q): (-1) ** leg for q, leg in sorted(moves, reverse=True)}

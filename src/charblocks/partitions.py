@@ -12,13 +12,25 @@ from operator import neg
 
 def check_partition(parts) -> tuple:
     """Validate and return a partition as a canonical tuple."""
+    p = _check_parts(parts)
+    for a, b in zip(p, islice(p, 1, None)):
+        if a < b:
+            raise ValueError(f"parts must be weakly decreasing: {p}")
+    return p
+
+
+def _check_class(parts) -> tuple:
+    """Validate a class, whose parts may come in any order, and return it as a
+    partition tuple: the parts are checked before they are sorted."""
+    return tuple(sorted(_check_parts(parts), reverse=True))
+
+
+def _check_parts(parts) -> tuple:
+    """The parts as a tuple, read once; ValueError unless each is a positive int."""
     p = tuple(parts)
     for x in p:
         if not isinstance(x, int) or x < 1:
             raise ValueError(f"partition parts must be positive integers, got {x!r}")
-    for a, b in zip(p, islice(p, 1, None)):
-        if a < b:
-            raise ValueError(f"parts must be weakly decreasing: {p}")
     return p
 
 
@@ -197,16 +209,6 @@ def e_core(p, e: int):
     return _parts(_core_mask(_beads(p, len(p)), e))
 
 
-def e_weight(p, e: int) -> int:
-    """Number of e-hooks removed to reach the e-core."""
-    p = check_partition(p)
-    core = e_core(p, e)
-    diff = sum(p) - sum(core)
-    if diff % e != 0:
-        raise RuntimeError(f"|{p}| - |{core}| = {diff} is not divisible by e = {e}")
-    return diff // e
-
-
 def is_e_core(p, e: int) -> bool:
     """True iff p is its own e-core (e >= 2): no e-hook can be removed, which
     holds iff no hook length of p is divisible by e (James-Kerber 2.7).  On
@@ -224,7 +226,7 @@ def is_e_class_regular(p, e: int) -> bool:
     _check_int("e", e)
     if e < 2:
         raise ValueError("is_e_class_regular requires e >= 2")
-    return all(part % e != 0 for part in check_partition(sorted(p, reverse=True)))
+    return all(part % e != 0 for part in _check_class(p))
 
 
 _PARTITIONS = [((),)]  # _PARTITIONS[m] is partitions_of(m), for each m built so far

@@ -18,7 +18,7 @@ from charblocks.blocks import (
     extremal_lambda,
     min_c_over_regular,
 )
-from charblocks.characters import _columns, char_value, chi_bar_coeffs
+from charblocks.characters import _columns, char_value
 from charblocks.partitions import (
     _parts,
     e_core,
@@ -38,7 +38,7 @@ from charblocks.sweeps import (
     verify_theorem1,
 )
 from oracles import brute_force_additions, core_counts, greedy_core, multipartition_counts
-from references import reference_column
+from references import addition_signs, reference_column
 
 
 class TestBlockId:
@@ -383,7 +383,7 @@ def opposite_sign_partner(psi, phi, lam):
     """The first partition in reverse-lex order, among those that phi's signed
     hook-addition combination reaches, whose term on lam has the opposite sign
     to psi's term; psi is one of them and not zero on lam."""
-    signs = chi_bar_coeffs(phi, sum(psi) - sum(phi), sum(psi))
+    signs = addition_signs(phi, sum(psi) - sum(phi))
     psi_term = signs[psi] * char_value(psi, lam)
     return next(beta for beta, sign in signs.items()
                 if sign * char_value(beta, lam) * psi_term < 0)

@@ -2,8 +2,9 @@
 
 Each public function that takes a partition reads it once, so an iterator
 gives the answer its tuple gives, and rejects a malformed one with
-ValueError.  Classes are sorted into canonical order before the check, so an
-out-of-order class is accepted; character labels are taken as given, so an
+ValueError.  Classes are sorted into canonical order after their parts are
+checked, so an out-of-order class is accepted and one with a part that does
+not sort among ints is rejected; character labels are taken as given, so an
 out-of-order label is rejected.  Every bad input here has size 3, so the
 partition check, not a size check, is what rejects it.
 """
@@ -13,16 +14,16 @@ import pytest
 from charblocks import (
     BlockId,
     CharEngine,
+    blocks_of,
     c_mu,
     centralizer_order,
     char_degree,
     char_value,
-    chi_bar_coeffs,
     conjugate,
+    count_matrix,
     diagonal_hooks,
     dominance_leq,
     e_core,
-    e_weight,
     is_e_class_regular,
     is_e_core,
 )
@@ -31,15 +32,14 @@ from charblocks.partitions import hook_lengths, remove_hooks_of_length
 UNSORTED = (1, 2)
 ZERO_PART = (3, 0)
 NON_INT = (2, 1.0)
+NON_COMPARABLE = (2, "1")  # sorted() raises TypeError on it
 
 # (name, call) pairs taking the bad partition where a character label goes.
 LABEL_ENTRIES = [
     ("char_value", lambda p: char_value(p, (2, 1))),
     ("CharEngine.char_value", lambda p: CharEngine().char_value(p, (2, 1))),
     ("char_degree", char_degree),
-    ("chi_bar_coeffs", lambda p: chi_bar_coeffs(p, 1, 4)),
     ("e_core", lambda p: e_core(p, 2)),
-    ("e_weight", lambda p: e_weight(p, 2)),
     ("remove_hooks_of_length", lambda p: remove_hooks_of_length(p, 1)),
     ("is_e_core", lambda p: is_e_core(p, 2)),
     ("conjugate", conjugate),
@@ -68,7 +68,8 @@ def _cases(entries, bad_inputs):
     "call,bad",
     _cases(LABEL_ENTRIES, [("unsorted", UNSORTED), ("zero", ZERO_PART),
                            ("non_int", NON_INT)])
-    + _cases(CLASS_ENTRIES, [("zero", ZERO_PART), ("non_int", NON_INT)]),
+    + _cases(CLASS_ENTRIES, [("zero", ZERO_PART), ("non_int", NON_INT),
+                             ("non_comparable", NON_COMPARABLE)]),
 )
 def test_rejects_malformed_partition(call, bad):
     with pytest.raises(ValueError):
@@ -92,9 +93,8 @@ def test_reads_its_argument_once(call):
 
 @pytest.mark.parametrize("call", [
     lambda: char_value((2, 1), (2, 2)),
-    lambda: chi_bar_coeffs((1,), 2, 2),
     lambda: c_mu(BlockId(e=2, core=(1,), weight=1), (2, 2)),
-], ids=["char_value", "chi_bar_coeffs", "c_mu"])
+], ids=["char_value", "c_mu"])
 def test_rejects_size_mismatch(call):
     with pytest.raises(ValueError):
         call()
@@ -109,10 +109,11 @@ def test_out_of_order_class_is_sorted():
 # Entries taking e, given a partition they accept and an e that is no int.
 E_ENTRIES = [
     ("e_core", lambda e: e_core((2, 1), e)),
-    ("e_weight", lambda e: e_weight((2, 1), e)),
     ("is_e_core", lambda e: is_e_core((2, 1), e)),
     ("is_e_class_regular-5", lambda e: is_e_class_regular((5,), e)),
     ("is_e_class_regular-3", lambda e: is_e_class_regular((3,), e)),
+    ("blocks_of", lambda e: blocks_of(e, 3)),
+    ("count_matrix", lambda e: list(count_matrix([e], 3))),
 ]
 
 
@@ -121,6 +122,16 @@ E_ENTRIES = [
 def test_rejects_non_int_e(call, e):
     with pytest.raises(ValueError, match="^e must be an integer, got "):
         call(e)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda n: blocks_of(2, n), id="blocks_of"),
+    pytest.param(lambda n: list(count_matrix([2], n)), id="count_matrix"),
+])
+@pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+def test_rejects_non_int_n(call, n):
+    with pytest.raises(ValueError, match="^n must be an integer, got "):
+        call(n)
 
 
 def test_non_int_e_keeps_each_entry_s_check_order():
@@ -135,3 +146,6 @@ def test_non_int_e_keeps_each_entry_s_check_order():
     assert e_core((3, 1), True) == e_core((3, 1), 1) == ()
     with pytest.raises(ValueError, match="^is_e_core requires e >= 2$"):
         is_e_core((2, 1), True)
+    with pytest.raises(ValueError, match="^block enumeration needs e >= 2$"):
+        blocks_of(True, 3)
+    assert blocks_of(2, True) == blocks_of(2, 1)

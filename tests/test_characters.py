@@ -13,12 +13,17 @@ from charblocks.characters import (
     character_table,
     character_table_csv,
     character_table_json,
-    chi_bar_coeffs,
 )
-from charblocks.partitions import _bead_masks, _moves, partitions_of, render_partition
+from charblocks.partitions import (
+    _bead_masks,
+    _moves,
+    partitions_of,
+    remove_hooks_of_length,
+    render_partition,
+)
 
 from oracles import mn_ascending
-from references import reference_column
+from references import addition_signs, reference_column, row_signs
 
 
 class TestCharValue:
@@ -183,32 +188,31 @@ class TestCharacterTable:
 
 class TestChiBar:
     def test_coeff_examples(self):
-        assert chi_bar_coeffs((), 2, 2) == {(2,): 1, (1, 1): -1}
+        assert addition_signs((), 2) == {(2,): 1, (1, 1): -1}
         # a length-1 hook always has leg 0, so both coefficients are +1
-        assert chi_bar_coeffs((1,), 1, 2) == {(2,): 1, (1, 1): 1}
-        assert chi_bar_coeffs((), 1, 1) == {(1,): 1}
-
-    def test_coeff_size_mismatch(self):
-        with pytest.raises(ValueError):
-            chi_bar_coeffs((1,), 2, 2)
+        assert addition_signs((1,), 1) == {(2,): 1, (1, 1): 1}
+        assert addition_signs((), 1) == {(1,): 1}
 
     @staticmethod
-    def signs(row, n):
-        """A move-table row decoded to sorted (partition of n, sign) pairs."""
-        ps = partitions_of(n)
-        even, odd = row
-        return sorted([(ps[j], 1) for j in even] + [(ps[j], -1) for j in odd])
+    def removal_rows(n, t):
+        """{phi: [(nu, sign), ...]} over the partitions phi of n - t, largest
+        nu first: each partition nu of n that a t-hook removal takes to phi,
+        signed (-1)^leg.  remove_hooks_of_length moves beads down, _table up."""
+        rows = {phi: [] for phi in partitions_of(n - t)}
+        for nu in partitions_of(n):
+            for phi, leg in remove_hooks_of_length(nu, t):
+                rows[phi].append((nu, (-1) ** leg))
+        return {phi: sorted(pairs, reverse=True) for phi, pairs in rows.items()}
 
     def test_move_table_rows_are_the_coefficients(self):
         # verify chibar reads its signs from row phi of _table(n - t, t).
         for n in range(13):
             for t in range(1, n + 1):
-                ps = partitions_of(n - t)
                 table = _table(n - t, t)
-                assert len(table) == len(ps)
-                for phi in ps:
-                    assert (self.signs(table[ps.index(phi)], n)
-                            == sorted(chi_bar_coeffs(phi, t, n).items()))
+                expected = self.removal_rows(n, t)
+                assert len(table) == len(expected)
+                for phi, row in zip(partitions_of(n - t), table):
+                    assert list(row_signs(row, n).items()) == expected[phi]
 
     def test_move_tables_match_moves(self):
         # _table's bulk loop against _moves, the single-object primitive, row
@@ -225,17 +229,18 @@ class TestChiBar:
 
     def test_one_flipped_sign_is_caught(self):
         # Negative control: moving any one target to the other leg parity
-        # makes the decoded row differ from the coefficients.
+        # makes the decoded row differ from the removals' signs.
         n, flips = 7, 0
         for t in range(1, n + 1):
+            expected = self.removal_rows(n, t)
             for phi, (even, odd) in zip(partitions_of(n - t), _table(n - t, t)):
-                coeffs = sorted(chi_bar_coeffs(phi, t, n).items())
+                assert list(row_signs((even, odd), n).items()) == expected[phi]
                 for k in range(len(even)):
                     flipped = (even[:k] + even[k + 1:], odd + (even[k],))
-                    assert self.signs(flipped, n) != coeffs
+                    assert list(row_signs(flipped, n).items()) != expected[phi]
                 for k in range(len(odd)):
                     flipped = (even + (odd[k],), odd[:k] + odd[k + 1:])
-                    assert self.signs(flipped, n) != coeffs
+                    assert list(row_signs(flipped, n).items()) != expected[phi]
                 flips += len(even) + len(odd)
         assert flips > 0
 
@@ -244,8 +249,7 @@ class TestChiBar:
         # against the class's column, as the chibar sweep computes it.
         def value(phi, length, lam):
             col = reference_column(lam)
-            return sum(c * col.get(beta, 0)
-                       for beta, c in chi_bar_coeffs(phi, length, sum(lam)).items())
+            return sum(c * col.get(beta, 0) for beta, c in addition_signs(phi, length).items())
 
         assert value((), 2, (1, 1)) == 0
         assert value((), 2, (2,)) == 2

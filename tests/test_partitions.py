@@ -13,7 +13,6 @@ from charblocks.partitions import (
     diagonal_hooks,
     dominance_leq,
     e_core,
-    e_weight,
     hook_lengths,
     is_e_class_regular,
     is_e_core,
@@ -22,9 +21,17 @@ from charblocks.partitions import (
     remove_hooks_of_length,
     render_partition,
 )
-from charblocks.characters import chi_bar_coeffs
 
 from oracles import brute_force_additions, greedy_core, rim_walk_remove
+from references import addition_signs
+
+
+def weight(p, e):
+    """The e-weight of p, (|p| - |core|) / e, as the core command and
+    BlockId.n compute it; the division is exact."""
+    diff = sum(p) - sum(e_core(p, e))
+    assert diff % e == 0
+    return diff // e
 
 
 class TestParseRender:
@@ -250,12 +257,13 @@ class TestHookRemoval:
 
 
 class TestHookAddition:
-    """Hook additions, as chi_bar_coeffs gives them: {partition: (-1)^leg}."""
+    """Hook additions, as row phi of characters._table(|phi|, t) holds them,
+    decoded to {partition: (-1)^leg}."""
 
     def test_examples(self):
-        assert list(chi_bar_coeffs((), 2, 2).items()) == [((2,), 1), ((1, 1), -1)]
-        assert list(chi_bar_coeffs((), 1, 1).items()) == [((1,), 1)]
-        assert list(chi_bar_coeffs((2, 1), 4, 7).items()) == [
+        assert list(addition_signs((), 2).items()) == [((2,), 1), ((1, 1), -1)]
+        assert list(addition_signs((), 1).items()) == [((1,), 1)]
+        assert list(addition_signs((2, 1), 4).items()) == [
             ((6, 1), 1),
             ((4, 3), -1),
             ((2, 2, 2, 1), 1),
@@ -266,7 +274,7 @@ class TestHookAddition:
         for n in range(9):
             for p in partitions_of(n):
                 for length in range(1, 5):
-                    assert list(chi_bar_coeffs(p, length, n + length).items()) == [
+                    assert list(addition_signs(p, length).items()) == [
                         (q, (-1) ** leg) for q, leg in brute_force_additions(p, length)
                     ]
 
@@ -274,13 +282,9 @@ class TestHookAddition:
         for n in range(9):
             for p in partitions_of(n):
                 for length in range(1, 5):
-                    for q, sign in chi_bar_coeffs(p, length, n + length).items():
+                    for q, sign in addition_signs(p, length).items():
                         removals = remove_hooks_of_length(q, length)
                         assert [(-1) ** leg for r, leg in removals if r == p] == [sign]
-
-    def test_length_below_one_rejected(self):
-        with pytest.raises(ValueError, match="hook length must be >= 1"):
-            chi_bar_coeffs((2, 1), 0, 3)
 
 
 class TestCores:
@@ -298,19 +302,19 @@ class TestCores:
     def test_cost_does_not_grow_with_e(self):
         # No int longer than the bead mask is built, whatever e.
         assert e_core((3, 1), 10**9) == (3, 1)
-        assert e_weight((3, 1), 10**9) == 0
+        assert weight((3, 1), 10**9) == 0
         assert e_core((3, 1), 10**30) == (3, 1)
 
     def test_long_runner(self):
         # One bead a million positions up: the runner is read as one digit slice.
         assert e_core((10**6 + 1,), 2) == (1,)
-        assert e_weight((10**6,), 2) == 500000
+        assert weight((10**6,), 2) == 500000
 
     def test_many_runners_and_many_parts(self):
         # Linear in the mask's length: a million positions on 300,000
         # runners, and a mask of 200,000 parts.
         assert e_core((10**6,), 300000) == (100000,)
-        assert e_weight((10**6,), 300000) == 3
+        assert weight((10**6,), 300000) == 3
         assert e_core((1,) * 200000, 2) == ()
 
     def test_core_mask_matches_runner_masks(self):
@@ -340,25 +344,19 @@ class TestCores:
         for n in range(8):
             for p in partitions_of(n):
                 assert e_core(p, 1) == ()
-                assert e_weight(p, 1) == n
+                assert weight(p, 1) == n
 
     def test_weight_examples(self):
-        assert e_weight((3, 1), 2) == 2
-        assert e_weight((6, 1), 4) == 1
-        assert e_weight((6, 4, 2), 3) == 0
-
-    def test_weight_rejects_a_core_of_the_wrong_size(self, monkeypatch):
-        from charblocks import partitions
-
-        monkeypatch.setattr(partitions, "e_core", lambda p, e: (1,))
-        with pytest.raises(RuntimeError, match="not divisible by e = 2"):
-            e_weight((3, 1), 2)
+        assert weight((3, 1), 2) == 2
+        assert weight((6, 1), 4) == 1
+        assert weight((6, 4, 2), 3) == 0
 
     def test_core_weight_consistency(self):
+        # e-hooks are removed to reach the core, so they account for |p| - |core|.
         for n in range(13):
             for p in partitions_of(n):
                 for e in range(2, 7):
-                    assert n == sum(e_core(p, e)) + e * e_weight(p, e)
+                    assert n == sum(e_core(p, e)) + e * weight(p, e)
 
     def test_is_e_core(self):
         assert is_e_core((2, 1), 4)

@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from charblocks.blocks import blocks_of, c_mu, count_matrix
-from charblocks.characters import _columns, char_value, chi_bar_coeffs
+from charblocks.characters import _columns, char_value
 from charblocks.partitions import (
     e_core,
     is_e_class_regular,
@@ -26,7 +26,7 @@ from oracles import (
     mn_ascending,
     rim_walk_removals_of_length,
 )
-from references import reference_column
+from references import addition_signs, reference_column
 
 oracle = settings(derandomize=True, deadline=None, database=None)
 
@@ -55,7 +55,7 @@ def test_removals_match_rim_walk(p, length):
 @oracle
 @given(partitions(9), st.integers(1, 5))
 def test_additions_match_brute_force(p, length):
-    assert list(chi_bar_coeffs(p, length, sum(p) + length).items()) == [
+    assert list(addition_signs(p, length).items()) == [
         (q, (-1) ** leg) for q, leg in brute_force_additions(p, length)]
 
 
