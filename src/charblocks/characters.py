@@ -19,6 +19,7 @@ no memo and no recursion.
 """
 
 import sys
+from functools import cache
 from math import factorial
 
 from .partitions import (
@@ -33,9 +34,7 @@ from .partitions import (
 )
 
 
-_TABLES = {}  # (size, t) -> per position of partitions_of(size), (even-leg, odd-leg) targets
-
-
+@cache
 def _table(size: int, t: int) -> tuple:
     """For each partition of size, the positions in partitions_of(size + t) that
     adding a t-hook reaches with even and with odd leg; built once per process.
@@ -47,26 +46,23 @@ def _table(size: int, t: int) -> tuple:
     bead moving up from low covers span = low * (2^t - 1), itself and the t - 1
     positions it passes, so the target is mask + span and the leg is even
     exactly when mask & span holds an odd number of beads."""
-    key = (size, t)
-    if key not in _TABLES:
-        to = _bead_masks(size + t)
-        below = (1 << t) - 1
-        rows = []
-        for m in _bead_masks(size):
-            mask = m << t | below
-            lows = mask & ~m  # mask >> t is m: the beads with a free position t up
-            even, odd = [], []
-            while lows:
-                low = lows & -lows
-                lows ^= low
-                span = low * below
-                if (mask & span).bit_count() & 1:
-                    even.append(to[mask + span])
-                else:
-                    odd.append(to[mask + span])
-            rows.append((tuple(even), tuple(odd)))
-        _TABLES[key] = tuple(rows)
-    return _TABLES[key]
+    to = _bead_masks(size + t)
+    below = (1 << t) - 1
+    rows = []
+    for m in _bead_masks(size):
+        mask = m << t | below
+        lows = mask & ~m  # mask >> t is m: the beads with a free position t up
+        even, odd = [], []
+        while lows:
+            low = lows & -lows
+            lows ^= low
+            span = low * below
+            if (mask & span).bit_count() & 1:
+                even.append(to[mask + span])
+            else:
+                odd.append(to[mask + span])
+        rows.append((tuple(even), tuple(odd)))
+    return tuple(rows)
 
 
 def _columns(classes):

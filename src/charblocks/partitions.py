@@ -6,6 +6,7 @@ so cells read as (row, column).
 """
 
 from bisect import bisect_left, bisect_right
+from functools import cache, lru_cache
 from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import neg
 
@@ -229,43 +230,43 @@ def is_e_class_regular(p, e: int) -> bool:
     return all(part % e != 0 for part in _check_class(p))
 
 
-_PARTITIONS = [((),)]  # _PARTITIONS[m] is partitions_of(m), for each m built so far
-_BEAD_MASKS = [{0: 0}]  # _BEAD_MASKS[m] is _bead_masks(m), for each m built so far
-
-
+# typed=True: an untyped cache would answer partitions_of(n=3.0) from the entry
+# for partitions_of(n=3) instead of refusing it.
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int):
-    """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last.
-
-    Sizes are built once, smallest first: those of m are (k,) + rest for k from
-    m down to 1, over the partitions rest of m - k with first part at most k.
-    They are kept for the life of the process, as sweeps and table ask for
-    every size anyway."""
+    """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last:
+    (k,) + rest for k from n down to 1, over the partitions rest of n - k with
+    first part at most k.  A size asks for the smaller sizes in ascending
+    order, each cached before the next, so a miss recurses at most two deep.
+    Sizes are kept for the life of the process; sweeps and table ask for all."""
+    _check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    for m in range(len(_PARTITIONS), n + 1):
-        _PARTITIONS.append(tuple((k,) + rest for k in range(m, 0, -1)
-                                 for rest in _PARTITIONS[m - k] if not rest or rest[0] <= k))
-    return _PARTITIONS[n]
+    if n == 0:
+        return ((),)
+    return tuple((k,) + rest for k in range(n, 0, -1)
+                 for rest in partitions_of(n - k) if not rest or rest[0] <= k)
 
 
+@cache
 def _bead_masks(n: int) -> dict:
     """{bead mask on n beads: position in partitions_of(n)}, in that order,
-    built once per process; callers must not change it.
+    kept for the life of the process; callers must not change it.
 
-    Built as partitions_of builds the partitions: the mask of (k,) + rest on
-    m beads is a bead at k + m - 1 over the mask of rest on m - k beads
-    shifted up by k - 1, with k - 1 beads below it.  rest's first part is at
-    most k exactly when its mask lies below 1 << m."""
+    Built as partitions_of builds the partitions, smaller sizes first: the
+    mask of (k,) + rest on n beads is a bead at k + n - 1 over the mask of
+    rest on n - k beads shifted up by k - 1, with k - 1 beads below it.
+    rest's first part is at most k exactly when its mask lies below 1 << n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    for m in range(len(_BEAD_MASKS), n + 1):
-        masks, limit = [], 1 << m
-        for k in range(m, 0, -1):
-            shift = k - 1
-            base = 1 << (k + m - 1) | (1 << shift) - 1
-            masks += [r << shift | base for r in _BEAD_MASKS[m - k] if r < limit]
-        _BEAD_MASKS.append(dict(zip(masks, range(len(masks)))))
-    return _BEAD_MASKS[n]
+    if n == 0:
+        return {0: 0}
+    masks, limit = [], 1 << n
+    for k in range(n, 0, -1):
+        shift = k - 1
+        base = 1 << (k + n - 1) | (1 << shift) - 1
+        masks += [r << shift | base for r in _bead_masks(n - k) if r < limit]
+    return dict(zip(masks, range(len(masks))))
 
 
 def dominance_leq(a, b) -> bool:

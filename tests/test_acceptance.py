@@ -10,7 +10,7 @@ from charblocks.blocks import BlockId, blocks_of, c_mu, extremal_lambda
 from charblocks.characters import (
     centralizer_order,
     char_degree,
-    shared_engine,
+    char_value,
 )
 from charblocks.partitions import is_e_class_regular, partitions_of
 from charblocks.sweeps import (
@@ -74,18 +74,15 @@ def test_criterion_6_virtual_character_vanishing():
 
 
 def test_criterion_7_engine_oracles():
-    eng = shared_engine()
     ok = True
     for n in range(1, 16):
         for nu in partitions_of(n):
-            ok = ok and eng.char_value(nu, (1,) * n) == char_degree(nu)
+            ok = ok and char_value(nu, (1,) * n) == char_degree(nu)
     for n in range(1, 9):
         ps = partitions_of(n)
         for lam in ps:
             for rho in ps:
-                s = sum(
-                    eng.char_value(nu, lam) * eng.char_value(nu, rho) for nu in ps
-                )
+                s = sum(char_value(nu, lam) * char_value(nu, rho) for nu in ps)
                 expected = centralizer_order(lam) if lam == rho else 0
                 ok = ok and s == expected
     report("criterion 7: degrees (n<=15) and column orthogonality (n<=8)", ok)

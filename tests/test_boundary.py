@@ -26,6 +26,7 @@ from charblocks import (
     e_core,
     is_e_class_regular,
     is_e_core,
+    partitions_of,
 )
 from charblocks.partitions import hook_lengths, remove_hooks_of_length
 
@@ -124,9 +125,17 @@ def test_rejects_non_int_e(call, e):
         call(e)
 
 
+def partitions_of_after_3(n):
+    # n=3 is cached first.  By keyword, an untyped cache would answer n=3.0
+    # from that entry; a lone positional int is keyed apart from any float.
+    partitions_of(n=3)
+    return partitions_of(n=n)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda n: blocks_of(2, n), id="blocks_of"),
     pytest.param(lambda n: list(count_matrix([2], n)), id="count_matrix"),
+    pytest.param(partitions_of_after_3, id="partitions_of"),
 ])
 @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
 def test_rejects_non_int_n(call, n):
@@ -149,3 +158,4 @@ def test_non_int_e_keeps_each_entry_s_check_order():
     with pytest.raises(ValueError, match="^block enumeration needs e >= 2$"):
         blocks_of(True, 3)
     assert blocks_of(2, True) == blocks_of(2, 1)
+    assert partitions_of(True) == ((1,),)

@@ -3,7 +3,6 @@ from math import factorial
 
 import pytest
 
-from charblocks import characters, partitions
 from charblocks.characters import (
     _columns,
     _table,
@@ -143,10 +142,11 @@ class TestBatchColumns:
             for lam, col in _columns(ps):
                 single = reference_column(lam)
                 assert col == [single.get(nu, 0) for nu in ps]
-            kept = len(characters._TABLES), len(partitions._BEAD_MASKS)
+            kept = _table.cache_info().currsize, _bead_masks.cache_info().currsize
             for _ in _columns(ps):
                 pass
-            assert (len(characters._TABLES), len(partitions._BEAD_MASKS)) == kept
+            assert (_table.cache_info().currsize, _bead_masks.cache_info().currsize) == kept
+        assert partitions_of(12) is partitions_of(12)
 
 
 class TestCharacterTable:

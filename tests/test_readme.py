@@ -1,5 +1,6 @@
 """README.md names every public name and every module of the package, its
-CLI examples run, and its per-sweep option table matches the CLI."""
+Library list names exactly the public names, its CLI examples run, and its
+per-sweep option table matches the CLI."""
 
 import contextlib
 import io
@@ -34,6 +35,26 @@ def cli_examples():
 
 def test_readme_names_every_public_name():
     assert [name for name in charblocks.__all__ if not re.search(rf"\b{name}\b", TEXT)] == []
+
+
+def library_list(text: str) -> list:
+    """The backquoted identifiers of the Library section's bullet list, from
+    "- `partitions`:" to the blank line after it, sorted, less the CLI words
+    named there in parentheses."""
+    start = text.index("- `partitions`:")
+    words = re.findall(r"`([A-Za-z_]\w*)`", text[start:text.index("\n\n", start)])
+    return sorted(w for w in words if w not in cli._COMMANDS and w not in cli._SWEEPS)
+
+
+def test_library_list_is_exactly_the_public_names():
+    assert library_list(section("Library")) == charblocks.__all__
+
+
+def test_library_list_check_sees_a_stale_or_missing_name():
+    text = section("Library")
+    assert library_list(text.replace("`partitions_of`,", "`partitions_of`, `e_weight`,")) \
+        != charblocks.__all__
+    assert library_list(text.replace("`CharEngine`", "CharEngine")) != charblocks.__all__
 
 
 def test_layout_names_every_module():
