@@ -79,7 +79,7 @@ def _columns(classes):
         del stack[k + 1:]
         for t in asc[k:]:
             size, state = stack[-1]
-            nxt = [0] * len(partitions_of(size + t))
+            nxt = [0] * len(_bead_masks(size + t))
             for c, (even, odd) in zip(state, _table(size, t)):
                 if c:
                     for j in even:

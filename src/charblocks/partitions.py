@@ -6,7 +6,7 @@ so cells read as (row, column).
 """
 
 from bisect import bisect_left, bisect_right
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import neg
 
@@ -230,22 +230,17 @@ def is_e_class_regular(p, e: int) -> bool:
     return all(part % e != 0 for part in _check_class(p))
 
 
-# typed=True: an untyped cache would answer partitions_of(n=3.0) from the entry
-# for partitions_of(n=3) instead of refusing it.
-@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int):
     """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last:
-    (k,) + rest for k from n down to 1, over the partitions rest of n - k with
-    first part at most k.  A size asks for the smaller sizes in ascending
-    order, each cached before the next, so a miss recurses at most two deep.
-    Sizes are kept for the life of the process; sweeps and table ask for all."""
+    the masks of _bead_masks(n), decoded.  n is checked before the cache hashes
+    it.  Sizes are kept for the life of the process; sweeps and table ask for all."""
     _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return ((),)
-    return tuple((k,) + rest for k in range(n, 0, -1)
-                 for rest in partitions_of(n - k) if not rest or rest[0] <= k)
+    return _partitions(n)
+
+
+@cache
+def _partitions(n: int) -> tuple:
+    return tuple(map(_parts, _bead_masks(n)))
 
 
 @cache
@@ -253,10 +248,11 @@ def _bead_masks(n: int) -> dict:
     """{bead mask on n beads: position in partitions_of(n)}, in that order,
     kept for the life of the process; callers must not change it.
 
-    Built as partitions_of builds the partitions, smaller sizes first: the
-    mask of (k,) + rest on n beads is a bead at k + n - 1 over the mask of
-    rest on n - k beads shifted up by k - 1, with k - 1 beads below it.
-    rest's first part is at most k exactly when its mask lies below 1 << n."""
+    The mask of (k,) + rest on n beads, k from n down to 1, is a bead at
+    k + n - 1 over the mask of rest on n - k beads shifted up by k - 1, with
+    k - 1 beads below it; rest's first part is at most k exactly when its mask
+    lies below 1 << n.  Smaller sizes are asked for in ascending order, each
+    cached before the next, so a miss recurses at most two deep."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:

@@ -5,6 +5,10 @@ removed by walking the rim of the Young diagram cell by cell, cores by greedy
 stripping, characters by an uncached recursion consuming the class parts
 smallest first, and block sizes and block counts by generating-function
 series in plain integers.
+
+They do import partitions_of, the list of the partitions of n, which the
+library decodes from its bead masks.  TestEnumeration's pins on its count,
+entries and order, not the bead code, vouch for that list.
 """
 
 from charblocks.partitions import conjugate, hook_lengths, partitions_of

@@ -126,8 +126,8 @@ def test_rejects_non_int_e(call, e):
 
 
 def partitions_of_after_3(n):
-    # n=3 is cached first.  By keyword, an untyped cache would answer n=3.0
-    # from that entry; a lone positional int is keyed apart from any float.
+    # n=3 is cached first.  By keyword, a cache that hashed n before the check
+    # would answer n=3.0 from that entry and fail on [3] with TypeError.
     partitions_of(n=3)
     return partitions_of(n=n)
 
@@ -137,7 +137,7 @@ def partitions_of_after_3(n):
     pytest.param(lambda n: list(count_matrix([2], n)), id="count_matrix"),
     pytest.param(partitions_of_after_3, id="partitions_of"),
 ])
-@pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", [3], {}])
 def test_rejects_non_int_n(call, n):
     with pytest.raises(ValueError, match="^n must be an integer, got "):
         call(n)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from charblocks.partitions import (
 
 from oracles import mn_ascending
 from references import addition_signs, reference_column, row_signs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestCharValue:
@@ -147,6 +153,24 @@ class TestBatchColumns:
                 pass
             assert (_table.cache_info().currsize, _bead_masks.cache_info().currsize) == kept
         assert partitions_of(12) is partitions_of(12)
+
+    def test_partitions_of_keeps_only_the_sizes_it_needs(self):
+        # In a fresh interpreter, partitions_of(12) keeps one list and the
+        # masks of sizes 0..12, each of them a hit when asked again.
+        code = (
+            "from charblocks.partitions import _bead_masks, _partitions, partitions_of\n"
+            "partitions_of(12)\n"
+            "kept = _partitions.cache_info().currsize, _bead_masks.cache_info()\n"
+            "for m in range(13):\n"
+            "    _bead_masks(m)\n"
+            "after = _bead_masks.cache_info()\n"
+            "print(kept[0], kept[1].currsize, after.hits - kept[1].hits, after.misses - kept[1].misses)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "13", "13", "0"]
 
 
 class TestCharacterTable:

@@ -385,40 +385,74 @@ class TestCores:
             is_e_class_regular((2,), 1)
 
 
+def pentagonal_counts(limit):
+    """[p(0), ..., p(limit)] by Euler's pentagonal-number recurrence."""
+    p = [1]
+    for n in range(1, limit + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > n and g2 > n:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            if g1 <= n:
+                total += sign * p[n - g1]
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p.append(total)
+    return p
+
+
+def entries_are_partitions_of(ps, n):
+    return all(check_partition(p) == p and sum(p) == n for p in ps)
+
+
+def in_reverse_lex_order(ps, n):
+    return ps[0] == (n,) and ps[-1] == (1,) * n and all(a > b for a, b in zip(ps, ps[1:]))
+
+
 class TestEnumeration:
+    # The count, the entries and the order together leave one list: p(n)
+    # distinct partitions of n in strictly decreasing order.  These pins, not
+    # the bead masks that partitions_of decodes, vouch for it.
     def test_small_values(self):
         assert partitions_of(0) == ((),)
         assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
         assert len(partitions_of(10)) == 42
 
     def test_counts_match_recurrence(self):
-        # p(n) via Euler's pentagonal-number recurrence
-        p = [1]
-        for n in range(1, 31):
-            total = 0
-            k = 1
-            while True:
-                g1 = k * (3 * k - 1) // 2
-                g2 = k * (3 * k + 1) // 2
-                if g1 > n and g2 > n:
-                    break
-                sign = -1 if k % 2 == 0 else 1
-                if g1 <= n:
-                    total += sign * p[n - g1]
-                if g2 <= n:
-                    total += sign * p[n - g2]
-                k += 1
-            p.append(total)
+        p = pentagonal_counts(30)
         assert p[30] == 5604
         for n in range(31):
             assert len(partitions_of(n)) == p[n]
 
+    def test_every_entry_is_a_partition_of_n(self):
+        for n in range(31):
+            assert entries_are_partitions_of(partitions_of(n), n)
+
     def test_reverse_lex_order(self):
-        for n in range(1, 23):
-            ps = partitions_of(n)
-            assert ps[0] == (n,)
-            assert ps[-1] == (1,) * n
-            assert all(a > b for a, b in zip(ps, ps[1:]))
+        for n in range(1, 31):
+            assert in_reverse_lex_order(partitions_of(n), n)
+
+    def test_pins_catch_a_changed_list(self):
+        # Negative control: a swap of neighbours, a dropped entry or a
+        # duplicated one, anywhere in the list, fails a pin.
+        n, ps = 12, list(partitions_of(12))
+        count = pentagonal_counts(n)[n]
+
+        def pinned(qs):
+            return len(qs) == count and entries_are_partitions_of(qs, n) \
+                and in_reverse_lex_order(qs, n)
+
+        assert pinned(ps)
+        for i in range(len(ps)):
+            assert not pinned(ps[:i] + ps[i + 1:])
+            assert not pinned(ps[:i + 1] + ps[i:])
+            if i + 1 < len(ps):
+                assert not pinned(ps[:i] + [ps[i + 1], ps[i]] + ps[i + 2:])
 
 
 class TestDominance:
