@@ -56,8 +56,6 @@ class BlockId(namedtuple("BlockId", "e core weight")):
         return sum(self.core) + self.weight * self.e
 
 
-CountReport = namedtuple("CountReport", "block class_label count witnesses")
-
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # flags 0/1 -> the digits of int(..., 2)
 
 
@@ -67,15 +65,15 @@ def block_partitions(b: BlockId):
     return list(partitions_of(b.n)) if b.e == 1 else blocks_of(b.e, b.n)[b]
 
 
-def c_mu(b: BlockId, lam) -> CountReport:
-    """Count (with witnesses) the block members whose character is non-zero on lam."""
+def c_mu(b: BlockId, lam) -> list:
+    """The block members whose character is non-zero on lam, in partitions_of
+    order; their number is the count c_mu(B)."""
     lam = _check_class(lam)
     if sum(lam) != b.n:
         raise ValueError(f"|lambda| = {sum(lam)} != block n = {b.n}")
     (_, col), = _columns([lam])
     members = set(block_partitions(b))
-    witnesses = [nu for nu, c in zip(partitions_of(b.n), col) if c and nu in members]
-    return CountReport(block=b, class_label=lam, count=len(witnesses), witnesses=witnesses)
+    return [nu for nu, c in zip(partitions_of(b.n), col) if c and nu in members]
 
 
 def count_matrix(e_values, n: int, regular: bool = True):

@@ -76,11 +76,11 @@ def _cmd_char(args) -> int:
 def _cmd_count(args) -> int:
     b, fields = _block(args)
     from .blocks import c_mu
-    report = c_mu(b, parse_partition(args.cls))
-    witnesses = [render_partition(w) for w in report.witnesses]
-    return _emit(args, {**fields, "class": render_partition(report.class_label),
-                        "count": report.count, "witnesses": witnesses},
-                 [f"count: {report.count}"] + [f"  {w}" for w in witnesses])
+    lam = parse_partition(args.cls)
+    witnesses = [render_partition(w) for w in c_mu(b, lam)]
+    return _emit(args, {**fields, "class": render_partition(lam),
+                        "count": len(witnesses), "witnesses": witnesses},
+                 [f"count: {len(witnesses)}"] + [f"  {w}" for w in witnesses])
 
 
 def _cmd_block(args) -> int:
@@ -94,7 +94,7 @@ def _cmd_extremal(args) -> int:
     b, fields = _block(args)
     from .blocks import c_mu, extremal_lambda
     lam = extremal_lambda(b)
-    count = c_mu(b, lam).count
+    count = len(c_mu(b, lam))
     return _emit(args, {**fields, "class": render_partition(lam), "count": count},
                  [render_partition(lam), f"count: {count}"])
 

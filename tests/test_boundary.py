@@ -13,7 +13,6 @@ import pytest
 
 from charblocks import (
     BlockId,
-    CharEngine,
     blocks_of,
     c_mu,
     centralizer_order,
@@ -28,6 +27,7 @@ from charblocks import (
     is_e_core,
     partitions_of,
 )
+from charblocks.characters import CharEngine
 from charblocks.partitions import hook_lengths, remove_hooks_of_length
 
 UNSORTED = (1, 2)

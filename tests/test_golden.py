@@ -137,6 +137,8 @@ SPELLINGS = [
     ("core-plain", ("core", "10,2,1,1,1", "--e=3")),
     ("core-plain", ("core", "--e", "3", "--", "10,2,1,1,1")),
     ("count", ("count", "--cl", "2^3,1", "--w", "1", "--cor=2,1", "--e", "4", "--f", "json")),
+    ("count", ("count", "--e", "4", "--core", "2,1", "--weight", "1", "--class", "1,2^3",
+               "--format", "json")),
     ("verify-theorem1", ("verify", "--max-n", "8", "--e", "2..5", "theorem1", "--format",
                          "json", "--no-meta")),
     ("verify-lemma1", ("verify", "lemma1", "--max-s", "7", "--form=json", "--no-m")),

@@ -54,7 +54,8 @@ def test_library_list_check_sees_a_stale_or_missing_name():
     text = section("Library")
     assert library_list(text.replace("`partitions_of`,", "`partitions_of`, `e_weight`,")) \
         != charblocks.__all__
-    assert library_list(text.replace("`CharEngine`", "CharEngine")) != charblocks.__all__
+    assert library_list(text.replace("`count_matrix`", "count_matrix")) != charblocks.__all__
+    assert library_list(text.replace("`c_mu`,", "`c_mu`, `CountReport`,")) != charblocks.__all__
 
 
 def test_layout_names_every_module():
