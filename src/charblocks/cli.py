@@ -136,7 +136,7 @@ def _cmd_verify(args) -> int:
         print(report.to_json(meta=not args.no_meta))
     else:
         print(report.to_text())
-    return 0 if report.passed() else 1
+    return 1 if report.counterexamples else 0
 
 
 # An option's default in _COMMANDS is a value, or _REQUIRED: the command

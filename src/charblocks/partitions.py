@@ -163,8 +163,10 @@ def _parts(mask) -> tuple:
 
 def _moves(mask, t: int, add: bool):
     """Every move of one bead of mask by t, up if add else down, onto a free
-    non-negative position, as (mask, leg) pairs.  The leg is the number of
-    beads the moving bead passes, those strictly between its two ends."""
+    non-negative position, as (mask, leg) pairs; the leg is the number of beads
+    strictly between the two ends.  The moves come lower end y first, and a
+    removal leaves mask - (2**t - 1 << y), an addition mask + (2**t - 1 << y):
+    removals come in descending mask order, additions in ascending."""
     lows = mask & ~(mask >> t) if add else (mask >> t) & ~mask
     between = (1 << (t - 1)) - 1
     out = []
@@ -177,16 +179,13 @@ def _moves(mask, t: int, add: bool):
 
 
 def remove_hooks_of_length(p, length: int):
-    """All single rim-hook removals of the given length, as (partition, leg)
-    pairs in descending order (that of the masks).
-
-    On the abacus a removal slides one bead down by the length.
-    """
+    """All single rim-hook removals of the given length, as (partition, leg) pairs
+    in descending order: each slides one bead down by the length (_moves)."""
     p = check_partition(p)
+    _check_int("length", length)
     if length < 1:
         raise ValueError("hook length must be >= 1")
-    moves = _moves(_beads(p, len(p)), length, False)
-    return [(_parts(q), leg) for q, leg in sorted(moves, reverse=True)]
+    return [(_parts(q), leg) for q, leg in _moves(_beads(p, len(p)), length, False)]
 
 
 def _core_mask(mask, e: int) -> int:

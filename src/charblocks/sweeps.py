@@ -15,6 +15,7 @@ from .blocks import _extremal_lambda, blocks_of, count_matrix
 from .characters import _columns, _table
 from .partitions import (
     _bead_masks,
+    _check_int,
     _diagonal_hooks,
     _moves,
     _parts,
@@ -35,9 +36,6 @@ class SweepReport:
     @property
     def verdict(self) -> str:
         return "fail" if self.counterexamples else "pass"
-
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def to_json(self, meta: bool = True) -> str:
         from ._jsontext import dumps
@@ -75,6 +73,7 @@ def _sweep(task_fn, ns, jobs: int, params: dict, key=None) -> SweepReport:
     A task costs about p(n), so the largest n is dispatched first.  More than
     one job runs the tasks in a process pool of at most one worker per task
     and per CPU.  No task is a usage error."""
+    _check_int("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ns = sorted(ns, reverse=True)

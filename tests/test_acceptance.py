@@ -35,7 +35,7 @@ def theorem1_report():
 def test_criterion_1_minimum_equals_weight_plus_one(theorem1_report):
     rows = theorem1_report.rows
     ok = all(r["min"] is None or r["min"] == r["expected"] for r in rows)
-    ok = ok and theorem1_report.passed()
+    ok = ok and theorem1_report.verdict == "pass"
     report("criterion 1: min count over regular classes = w+1 (e=2..5, n<=12)", ok)
 
 
@@ -59,18 +59,18 @@ def test_criterion_3_constructed_class_attains_minimum(theorem1_report):
 
 def test_criterion_4_dichotomy():
     rep = verify_dichotomy([2, 3, 4, 5], 12)
-    report("criterion 4: count is 0 or >= w+1 on regular classes", rep.passed())
+    report("criterion 4: count is 0 or >= w+1 on regular classes", rep.verdict == "pass")
 
 
 def test_criterion_5_sign_lemma():
     rep = lemma1_sweep(8)
     checked = sum(r["checked"] for r in rep.rows)
-    report(f"criterion 5: sign lemma over {checked} configurations", rep.passed())
+    report(f"criterion 5: sign lemma over {checked} configurations", rep.verdict == "pass")
 
 
 def test_criterion_6_virtual_character_vanishing():
     rep = verify_chibar(10)
-    report("criterion 6: signed hook-addition combinations vanish", rep.passed())
+    report("criterion 6: signed hook-addition combinations vanish", rep.verdict == "pass")
 
 
 def test_criterion_7_engine_oracles():
@@ -92,7 +92,7 @@ def test_criterion_8_full_table_counts():
     rep = verify_remark2(10)
     conjecture = all(r["conjecture_min_is_n_minus_1"] for r in rep.rows)
     print(f"  reported: min count equals n-1 for 3<=n<=10: {conjecture}")
-    report("criterion 8: e=1 counts and sqrt lower bound", rep.passed())
+    report("criterion 8: e=1 counts and sqrt lower bound", rep.verdict == "pass")
 
 
 def test_criterion_9_spot_checks_beyond_desk_scale():

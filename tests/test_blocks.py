@@ -452,7 +452,7 @@ def fake_pool(monkeypatch):
 class TestSweeps:
     def test_theorem1_small(self):
         report = verify_theorem1([2, 3], 8)
-        assert report.passed()
+        assert report.verdict == "pass"
         assert all(r["ok"] for r in report.rows)
 
     @pytest.mark.parametrize(
@@ -558,20 +558,26 @@ class TestSweeps:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             lemma1_sweep(3, jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [1.5, 2.5, "2"])
+    def test_non_int_jobs_rejected(self, jobs):
+        # Refused before any pool starts, whatever the host's CPU count.
+        with pytest.raises(ValueError, match="^jobs must be an integer, got "):
+            verify_chibar(3, jobs=jobs)
+
     def test_dichotomy_small(self):
         report = verify_dichotomy([2, 3, 4], 8)
-        assert report.passed()
+        assert report.verdict == "pass"
 
     def test_lemma1_hand_case(self):
         # delta1=(2), delta2=(1,1): the only common removal results are
         # gamma=(1) (legs 0 and 1) and gamma=() (legs 0 and 1); sign product -1
         report = lemma1_sweep(2)
-        assert report.passed()
+        assert report.verdict == "pass"
         assert report.rows == [{"m": 2, "checked": 1, "failures": 0}]
 
     def test_lemma1_small(self):
         report = lemma1_sweep(6)
-        assert report.passed()
+        assert report.verdict == "pass"
         assert all(r["failures"] == 0 for r in report.rows)
 
     def test_lemma1_reports_as_the_pair_scan(self, monkeypatch):
@@ -611,24 +617,24 @@ class TestSweeps:
 
     def test_remark1_exploratory(self):
         report = verify_remark1([2], 5)
-        assert report.passed()
+        assert report.verdict == "pass"
         # S_2 whole-table case: both characters non-zero on the 2-cycle
         b = BlockId(e=2, core=(), weight=1)
         assert len(c_mu(b, (2,))) == 2
 
     def test_remark2_small(self):
         report = verify_remark2(7)
-        assert report.passed()
+        assert report.verdict == "pass"
         by_n = {r["n"]: r for r in report.rows}
         assert by_n[3]["c_(n-1,1)"] == 2
         assert by_n[4]["c_(n-1,1)"] == 3
 
     def test_chibar_sweep_small(self):
-        assert verify_chibar(6).passed()
+        assert verify_chibar(6).verdict == "pass"
 
     def test_row_structure_small(self):
         report = nonvanishing_row_structure_check(8, (2, 3, 4))
-        assert report.passed()
+        assert report.verdict == "pass"
 
     def test_report_serialization(self):
         import json

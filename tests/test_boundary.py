@@ -125,6 +125,17 @@ def test_rejects_non_int_e(call, e):
         call(e)
 
 
+@pytest.mark.parametrize("length", [1.5, 2.0, "2", None])
+def test_remove_hooks_of_length_rejects_non_int_length(length):
+    with pytest.raises(ValueError, match="^length must be an integer, got "):
+        remove_hooks_of_length((3, 1), length)
+    # The partition is checked first, as e_core checks its partition before e.
+    with pytest.raises(ValueError, match="^partition parts"):
+        remove_hooks_of_length((0,), length)
+    # A bool counts as an int.
+    assert remove_hooks_of_length((3, 1), True) == remove_hooks_of_length((3, 1), 1)
+
+
 def partitions_of_after_3(n):
     # n=3 is cached first.  By keyword, a cache that hashed n before the check
     # would answer n=3.0 from that entry and fail on [3] with TypeError.

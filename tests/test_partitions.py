@@ -7,6 +7,7 @@ from charblocks.partitions import (
     _bead_masks,
     _beads,
     _core_mask,
+    _moves,
     _parts,
     check_partition,
     conjugate,
@@ -254,6 +255,34 @@ class TestHookRemoval:
     def test_length_below_one_rejected(self):
         with pytest.raises(ValueError, match="hook length must be >= 1"):
             remove_hooks_of_length((2, 1), 0)
+
+
+def strictly_monotone(masks, descending):
+    return all(a > b if descending else a < b for a, b in zip(masks, masks[1:]))
+
+
+class TestMoveOrder:
+    """_moves yields removals in strictly descending mask order and additions
+    in strictly ascending; remove_hooks_of_length returns them unsorted."""
+
+    def cases(self):
+        for n in range(15):
+            for p in partitions_of(n):
+                for beads in (len(p), len(p) + 3):
+                    mask = _beads(p, beads)
+                    for t in range(1, n + 3):
+                        for add in (False, True):
+                            yield [q for q, _ in _moves(mask, t, add)], not add
+
+    def test_order(self):
+        for masks, descending in self.cases():
+            assert strictly_monotone(masks, descending)
+
+    def test_reversed_order_is_rejected(self):
+        # Negative control: the predicate sees a list out of order.
+        longer = [(m, d) for m, d in self.cases() if len(m) >= 2]
+        assert longer
+        assert not any(strictly_monotone(m[::-1], d) for m, d in longer)
 
 
 class TestHookAddition:
