@@ -12,8 +12,7 @@ _EXPORTS = {
                    "is_e_class_regular", "is_e_core", "parse_partition", "partitions_of",
                    "render_partition"),
     "characters": ("centralizer_order", "char_degree", "char_value", "character_table"),
-    "blocks": ("BlockId", "block_partitions", "blocks_of", "c_mu", "count_matrix",
-               "extremal_lambda", "min_c_over_regular"),
+    "blocks": ("BlockId", "blocks_of", "c_mu", "count_matrix", "extremal_lambda"),
     "sweeps": ("SweepReport", "lemma1_sweep", "nonvanishing_row_structure_check",
                "verify_chibar", "verify_dichotomy", "verify_remark1", "verify_remark2",
                "verify_theorem1"),

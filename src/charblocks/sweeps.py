@@ -109,6 +109,7 @@ def _block_rows(format_row, regular: bool, e_values, n: int):
 
 def _block_sweep(format_row, regular: bool, e_values, n_max: int, jobs: int,
                  **params) -> SweepReport:
+    _check_int("n_max", n_max)
     e_values = sorted(set(e_values))
     ns = range(1, n_max + 1) if e_values else []
     # Reports list blocks by e, n and rendered core, as text ("10" < "2").
@@ -192,6 +193,7 @@ def verify_remark2(n_max: int, jobs: int = 1) -> SweepReport:
     """e=1 checks: the class (n-1, 1) misses exactly one character for n >= 3,
     and every class count beats n - sqrt(2n) + 1.  Whether the minimum count
     equals n-1 is reported, not asserted."""
+    _check_int("n_max", n_max)
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     # Every n gets the full table, so bound_max always equals n_max; the key
@@ -241,6 +243,7 @@ def lemma1_sweep(m_max: int, jobs: int = 1) -> SweepReport:
     """For every pair of distinct partitions of the same size m <= m_max and
     every pair of distinct common single-hook-removal results, check that the
     four leg lengths have odd sum."""
+    _check_int("m_max", m_max)
     return _sweep(_lemma1_rows, range(2, m_max + 1), jobs, {"m_max": m_max})
 
 
@@ -277,6 +280,7 @@ def _chibar_rows(n: int):
 def verify_chibar(n_max: int, jobs: int = 1) -> SweepReport:
     """The signed hook-addition combination vanishes on every class with no
     part equal to the hook length."""
+    _check_int("n_max", n_max)
     return _sweep(_chibar_rows, range(1, n_max + 1), jobs, {"n_max": n_max})
 
 
@@ -340,6 +344,7 @@ def nonvanishing_row_structure_check(n_max: int, e_values=(2, 3, 4, 5),
     One task per n checks (a), then (b) and (c) on the blocks of every e.
     Rows list (a) by n, then (b) and (c) by e and n in blocks_of order.
     """
+    _check_int("n_max", n_max)
     e_values = sorted(set(e_values))
     ns = range(1 if e_values else 2, n_max + 1)  # n = 1 has only blocks to check
     return _sweep(partial(_rowstructure_rows, e_values), ns, jobs,

@@ -564,6 +564,26 @@ class TestSweeps:
         with pytest.raises(ValueError, match="^jobs must be an integer, got "):
             verify_chibar(3, jobs=jobs)
 
+    @pytest.mark.parametrize("bound", [2.5, "3"])
+    @pytest.mark.parametrize(
+        "sweep,name",
+        [
+            (partial(verify_theorem1, [2]), "n_max"),
+            (partial(verify_dichotomy, [2]), "n_max"),
+            (partial(verify_remark1, [2]), "n_max"),
+            (verify_remark2, "n_max"),
+            (lemma1_sweep, "m_max"),
+            (verify_chibar, "n_max"),
+            (nonvanishing_row_structure_check, "n_max"),
+        ],
+        ids=["theorem1", "dichotomy", "remark1", "remark2", "lemma1", "chibar",
+             "rowstructure"],
+    )
+    def test_non_int_bound_rejected(self, sweep, name, bound):
+        # Refused before the range is built, as a non-int jobs is.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            sweep(bound)
+
     def test_dichotomy_small(self):
         report = verify_dichotomy([2, 3, 4], 8)
         assert report.verdict == "pass"

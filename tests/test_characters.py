@@ -31,6 +31,12 @@ from references import addition_signs, reference_column, row_signs
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def squares_sum_to_z(lam, col) -> bool:
+    """Column orthogonality on one class: the sum of chi^nu(lam)^2 over every
+    nu is the order of lam's centralizer."""
+    return sum(v * v for v in col) == centralizer_order(lam)
+
+
 class TestCharValue:
     def test_trivial_character_is_one(self):
         for n in range(1, 9):
@@ -126,6 +132,23 @@ class TestDegreesAndOrthogonality:
         for m in range(1, 15):
             (_, identity), = _columns([(1,) * m])
             assert identity == [char_degree(nu) for nu in partitions_of(m)]
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_column_identities_to_22(self, n):
+        # The sweeps read _columns alone up to n = 30.  Two identities need no
+        # second engine: every class's column has squares summing to its
+        # centralizer order, and the identity column holds the degrees.
+        ps = partitions_of(n)
+        assert [lam for lam, col in _columns(ps) if not squares_sum_to_z(lam, col)] == []
+        (_, identity), = _columns([(1,) * n])
+        assert identity == [char_degree(nu) for nu in ps]
+
+    def test_column_identity_sees_one_changed_value(self):
+        (lam, col), = _columns([(21, 1)])
+        changed = list(col)
+        changed[len(col) // 2] += 1
+        assert squares_sum_to_z(lam, col)
+        assert not squares_sum_to_z(lam, changed)
 
 
 class TestBatchColumns:

@@ -17,26 +17,28 @@ SRC_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(SRC)}
 MODULES = sorted((SRC / "charblocks").glob("*.py"))
 
 # Every public name by the module that defines it, as at the eager package,
-# less chi_bar_coeffs, e_weight and CountReport, since removed, and CharEngine,
-# which is no longer public but stays in characters.
+# less chi_bar_coeffs, e_weight and CountReport, since removed, and the names
+# of MODULE_ONLY.
 EXPORTS = {
     "partitions": ("conjugate", "diagonal_hooks", "dominance_leq", "e_core",
                    "is_e_class_regular", "is_e_core", "parse_partition", "partitions_of",
                    "render_partition"),
     "characters": ("centralizer_order", "char_degree", "char_value", "character_table"),
-    "blocks": ("BlockId", "block_partitions", "blocks_of", "c_mu", "count_matrix",
-               "extremal_lambda", "min_c_over_regular"),
+    "blocks": ("BlockId", "blocks_of", "c_mu", "count_matrix", "extremal_lambda"),
     "sweeps": ("SweepReport", "lemma1_sweep", "nonvanishing_row_structure_check",
                "verify_chibar", "verify_dichotomy", "verify_remark1", "verify_remark2",
                "verify_theorem1"),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+# Names that left the public list but stay in their module.
+MODULE_ONLY = [("characters", "CharEngine"), ("blocks", "block_partitions"),
+               ("blocks", "min_c_over_regular")]
 
 
 def test_all_is_unchanged():
-    # The 28 public names and the 4 submodules, sorted, as dir() gave them.
+    # The 26 public names and the 4 submodules, sorted, as dir() gave them.
     assert charblocks.__all__ == sorted([*EXPORTS, *(name for _, name in NAMES)])
-    assert len(charblocks.__all__) == 32
+    assert len(charblocks.__all__) == 30
 
 
 def test_dir_lists_every_name():
@@ -58,6 +60,16 @@ def test_star_import_binds_every_name():
     namespace = {}
     exec("from charblocks import *", namespace)
     assert all(namespace[name] is getattr(charblocks, name) for name in charblocks.__all__)
+
+
+@pytest.mark.parametrize("module,name", MODULE_ONLY, ids=[name for _, name in MODULE_ONLY])
+def test_module_only_name_stays_in_its_module(module, name):
+    assert callable(getattr(importlib.import_module(f"charblocks.{module}"), name))
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(charblocks, name)
+    namespace = {}
+    exec("from charblocks import *", namespace)
+    assert name not in namespace
 
 
 def test_unknown_name_raises_attribute_error():
